@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 file or schema problems (argparse usage errors
 share this code), 3 a verification check failed, 4 the race search
-exhausted its space without a witness.
+exhausted its space without a witness. Any other exception is a fault in
+the program: it propagates with its traceback (exit 1), never as exit 2.
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SCHEMA
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (TypeError, ValueError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .intervals import Interval, IntervalUnion, Rational, as_fraction
+from .intervals import Interval, IntervalUnion, Rational, _require_int, as_fraction
 
 __all__ = [
     "InternalCheckError",
@@ -51,92 +51,64 @@ class InternalCheckError(ArithmeticError):
     """An exact identity the construction relies on failed to hold."""
 
 
-def _int_rows(rows: Iterable[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in rows:
-        clean = []
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"{what} entries must be integers, got {v!r}")
-            clean.append(v)
-        out.append(tuple(clean))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class DiffMatrix:
+class IntTable:
+    """Validated rectangular integer table: rows of equal width H >= 2.
+
+    ``n`` is the number of sets the table describes, at least two; here
+    one row per consecutive pair of sets, so rows + 1. Subclasses change
+    ``n`` and add rules of their own in ``_check``.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(_require_int(v, "table entry") for v in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if self.n < 2:
+            raise ValueError(f"need rows for at least two sets, got {len(rows)} rows")
+        if len(rows[0]) < 2:
+            raise ValueError("need at least two columns, for folds 1 and 2")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("rows must all have the same width")
+        self._check()
+
+    def _check(self) -> None:
+        """Rules beyond shape and integrality; none for the base table."""
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) + 1
+
+    @property
+    def H(self) -> int:
+        return len(self.rows[0])
+
+
+class DiffMatrix(IntTable):
     """Integer targets for the measure differences of consecutive sets.
 
     ``rows[i-1][h-1]`` is the target for measure(hA_i) - measure(hA_{i+1}),
     before scaling. n-1 rows of width H, with n >= 2 and H >= 2.
     """
 
-    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows, "difference table")
-        if len(rows) < 1:
-            raise ValueError("need at least one row (two sets)")
-        width = len(rows[0])
-        if width < 2:
-            raise ValueError("need targets for at least folds 1 and 2")
-        if any(len(r) != width for r in rows):
-            raise ValueError("rows must all have the same width")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) + 1
-
-    @property
-    def H(self) -> int:
-        return len(self.rows[0])
-
-
-@dataclass(frozen=True)
-class StepMatrix:
+class StepMatrix(IntTable):
     """Per-step gap-count increments between consecutive sets, one row per pair."""
 
-    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows, "step table")
-        if len(rows) < 1 or len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("step table must be rectangular, n-1 rows of width H >= 2")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) + 1
-
-    @property
-    def H(self) -> int:
-        return len(self.rows[0])
-
-
-@dataclass(frozen=True)
-class CarveMatrix:
+class CarveMatrix(IntTable):
     """Nonnegative gap multiplicities, one row per set, one column per width class."""
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows, "carve table")
-        if len(rows) < 2 or len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("carve table must be rectangular, n >= 2 rows of width H >= 2")
-        if any(v < 0 for row in rows for v in row):
+    def _check(self) -> None:
+        if any(v < 0 for row in self.rows for v in row):
             raise ValueError("gap multiplicities must be nonnegative")
-        if any(sum(row) == 0 for row in rows):
+        if 0 in self.row_totals:
             raise ValueError("every set must carve at least one gap")
-        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @property
-    def H(self) -> int:
-        return len(self.rows[0])
 
     @property
     def row_totals(self) -> tuple[int, ...]:
@@ -159,13 +131,11 @@ class ConstructionParams:
     n: int
 
     def __post_init__(self) -> None:
+        _require_int(self.H, "fold horizon H", lo=2)
+        _require_int(self.n, "set count n", lo=2)
         eps = as_fraction(self.eps)
         delta = as_fraction(self.delta)
         c = as_fraction(self.c)
-        if not isinstance(self.H, int) or self.H < 2:
-            raise ValueError("fold horizon H must be an integer >= 2")
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError("set count n must be an integer >= 2")
         if not 0 < eps < Fraction(1, 3):
             raise ValueError(f"eps must lie strictly between 0 and 1/3, got {eps}")
         if not 0 < delta < eps / (self.H - 1):
@@ -244,14 +214,11 @@ def choose_params(H: int, n: int, max_gaps: int) -> ConstructionParams:
 
     ``max_gaps`` is the largest total gap count any single set will carve;
     halving the feasibility bound keeps every carved gap strictly inside
-    its block even in the extreme width class.
+    its block even in the extreme width class. ``ConstructionParams``
+    checks ``n``; ``H`` is checked here because the recipe divides by H - 1.
     """
-    if not isinstance(H, int) or isinstance(H, bool) or H < 2:
-        raise ValueError(f"fold horizon must be an integer >= 2, got {H!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"set count must be an integer >= 2, got {n!r}")
-    if not isinstance(max_gaps, int) or isinstance(max_gaps, bool) or max_gaps < 1:
-        raise ValueError(f"max gap count must be an integer >= 1, got {max_gaps!r}")
+    _require_int(H, "fold horizon H", lo=2)
+    _require_int(max_gaps, "max gap count", lo=1)
     eps = Fraction(1, 4)
     delta = Fraction(1, 2) * min(eps / (H - 1), (1 - 3 * eps) / (2 * H * max_gaps))
     c = (H - 1) * delta + 4
@@ -290,11 +257,9 @@ class CarvedBlock:
 
 def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
     """Carve ``counts[r-1]`` open gaps of width r*delta out of the base block."""
-    (clean,) = _int_rows([counts], "gap count")
+    clean = tuple(_require_int(v, "gap count", lo=0) for v in counts)
     if len(clean) != params.H:
         raise ValueError(f"need one gap count per width class 1..{params.H}")
-    if any(v < 0 for v in clean):
-        raise ValueError("gap counts must be nonnegative")
     total = sum(clean)
     if total == 0:
         raise ValueError("at least one gap must be carved")
@@ -327,7 +292,7 @@ def thickened_measure(block: CarvedBlock, h: int, params: ConstructionParams) ->
     interval computation and the closed form must agree to the last bit;
     a mismatch raises, because every downstream guarantee leans on it.
     """
-    if not isinstance(h, int) or isinstance(h, bool) or not 1 <= h <= params.H:
+    if not 1 <= _require_int(h, "fold") <= params.H:
         raise ValueError(f"fold must lie in 1..{params.H}, got {h!r}")
     delta, eps = params.delta, params.eps
     smear = IntervalUnion([(0, (h - 1) * delta)])

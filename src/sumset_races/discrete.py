@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .intervals import _require_int
+
 IntSet = tuple[int, ...]
 
 __all__ = [
@@ -14,18 +16,14 @@ __all__ = [
     "hfold_ints",
     "dense_rank",
     "is_rank_tuple",
+    "check_race_targets",
     "search_race_sets",
 ]
 
 
 def as_int_set(elements: Iterable[int]) -> IntSet:
     """Normalize to a sorted duplicate-free tuple of ints."""
-    seen = set()
-    for e in elements:
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise TypeError(f"integer expected, got {e!r}")
-        seen.add(e)
-    return tuple(sorted(seen))
+    return tuple(sorted({_require_int(e, "set element") for e in elements}))
 
 
 def hfold_ints(base: Iterable[int], h: int) -> IntSet:
@@ -33,8 +31,7 @@ def hfold_ints(base: Iterable[int], h: int) -> IntSet:
     b = as_int_set(base)
     if not b:
         raise ValueError("sumset base must be nonempty")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise ValueError(f"fold count must be a positive integer, got {h!r}")
+    _require_int(h, "fold count", lo=1)
     sums = {0}
     for _ in range(h):
         sums = {s + x for s in sums for x in b}
@@ -55,11 +52,30 @@ def dense_rank(values: Sequence[int | Fraction]) -> tuple[int, ...]:
 
 def is_rank_tuple(values: Sequence[int]) -> bool:
     """True when the tuple is its own rank pattern (entries are 1..k, dense)."""
-    if len(values) == 0:
+    try:
+        ranks = tuple(_require_int(v, "rank") for v in values)
+        return dense_rank(ranks) == ranks
+    except (TypeError, ValueError):
         return False
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
-        return False
-    return dense_rank(values) == tuple(values)
+
+
+def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
+
+    Returns the targets as a list of tuples; raises ``ValueError`` otherwise.
+    """
+    goal = [tuple(t) for t in targets]
+    if not goal:
+        raise ValueError("at least one rank tuple is required")
+    for t in goal:
+        if not is_rank_tuple(t):
+            raise ValueError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
+    n = len(goal[0])
+    if n < 2:
+        raise ValueError("a race needs at least two sets")
+    if any(len(t) != n for t in goal):
+        raise ValueError("rank tuples must all have the same length")
+    return goal
 
 
 def search_race_sets(
@@ -75,21 +91,10 @@ def search_race_sets(
     enumeration, or None once the space is exhausted. Exhaustion is a
     normal outcome, not an error.
     """
-    goal = [tuple(t) for t in targets]
-    if not goal:
-        raise ValueError("at least one rank tuple is required")
+    goal = check_race_targets(targets)
     n = len(goal[0])
-    if n < 2:
-        raise ValueError("a race needs at least two sets")
-    for t in goal:
-        if len(t) != n:
-            raise ValueError("rank tuples must all have the same length")
-        if not is_rank_tuple(t):
-            raise ValueError(f"not a valid rank tuple: {t!r}")
-    if not isinstance(ground, int) or isinstance(ground, bool) or ground < 0:
-        raise ValueError(f"ground must be a nonnegative integer, got {ground!r}")
-    if not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1:
-        raise ValueError(f"maxsize must be a positive integer, got {maxsize!r}")
+    _require_int(ground, "ground", lo=0)
+    _require_int(maxsize, "maxsize", lo=1)
 
     horizon = len(goal)
     candidates: list[IntSet] = []

@@ -36,6 +36,19 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
+def _require_int(value: object, what: str, lo: int | None = None) -> int:
+    """Return ``value`` if it is an int (bool excluded) of at least ``lo``.
+
+    This is the package's one integer check: a non-int or a bool raises
+    ``TypeError``, an int below ``lo`` raises ``ValueError``.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{what} must be an integer >= {lo}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints; lo == hi is a point."""
@@ -158,8 +171,7 @@ class IntervalUnion:
 
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1)."""
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-            raise ValueError(f"fold count must be a positive integer, got {h!r}")
+        _require_int(h, "fold count", lo=1)
         result = self
         for _ in range(h - 1):
             result = result + self

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .discrete import IntSet, as_int_set, dense_rank, hfold_ints
-from .intervals import Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, _require_int, as_fraction
 
 __all__ = [
     "RealizationPlan",
@@ -27,19 +27,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealizationPlan:
-    """Block width, fold horizon, and the integer sets that were realized."""
+    """Block width, fold horizon, and the integer sets that were realized.
+
+    The width is an exact rational in (0, 1/(horizon+1)]; ``base_sets`` is
+    a nonempty tuple of nonempty, sorted, duplicate-free int tuples.
+    """
 
     width: Fraction
     horizon: int
     base_sets: tuple[IntSet, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError("horizon must be an integer >= 1")
-        if not 0 < self.width <= Fraction(1, self.horizon + 1):
+        _require_int(self.horizon, "horizon", lo=1)
+        width = as_fraction(self.width)
+        if not 0 < width <= Fraction(1, self.horizon + 1):
             raise ValueError("width must lie in (0, 1/(horizon+1)]")
-        if not self.base_sets or any(not b for b in self.base_sets):
-            raise ValueError("every base set must be nonempty")
+        object.__setattr__(self, "width", width)
+        normalized = tuple(as_int_set(b) for b in self.base_sets)
+        if not normalized or not all(normalized):
+            raise ValueError("need at least one base set, and every base set must be nonempty")
+        if normalized != self.base_sets:
+            raise ValueError("base sets must be tuples of sorted, distinct integers")
 
 
 def realize(
@@ -49,20 +57,22 @@ def realize(
 
     Distinct integers in an h-fold sumset are at least 1 apart while the
     blocks have width h/(horizon+1) < 1 for h <= horizon, so the blocks
-    never meet and each fold's measure is exactly |hB| * h * width.
+    never meet and each fold's measure is exactly |hB| * h * width. The
+    plan checks the horizon and the base sets; the input sets may come in
+    any order and with repeats.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    normalized = tuple(as_int_set(b) for b in base_sets)
-    if not normalized:
-        raise ValueError("need at least one base set")
-    if any(not b for b in normalized):
-        raise ValueError("base sets must be nonempty")
-    width = Fraction(1, horizon + 1)
-    sets = tuple(
-        IntervalUnion(Interval(Fraction(b), b + width) for b in base) for base in normalized
+    # max() keeps the width defined for any int, so a horizon below 1
+    # reaches the plan's check instead of dividing by zero here.
+    plan = RealizationPlan(
+        width=Fraction(1, max(horizon, 0) + 1),
+        horizon=horizon,
+        base_sets=tuple(as_int_set(b) for b in base_sets),
     )
-    return sets, RealizationPlan(width=width, horizon=horizon, base_sets=normalized)
+    sets = tuple(
+        IntervalUnion(Interval(Fraction(b), b + plan.width) for b in base)
+        for base in plan.base_sets
+    )
+    return sets, plan
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,7 @@ def verify_tau_race(
     the integer fold; the two routes share no code, so agreement is a
     real cross-check and not an echo.
     """
+    _require_int(horizon, "horizon", lo=1)  # a report with no folds would pass vacuously
     if len(sets) != len(base_sets):
         raise ValueError(f"got {len(sets)} interval sets for {len(base_sets)} base sets")
     normalized = [as_int_set(b) for b in base_sets]

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .construction import (
     BuildResult,
     DiffMatrix,
     DifferenceReport,
 )
-from .discrete import IntSet, is_rank_tuple
-from .intervals import Interval, IntervalUnion
+from .discrete import IntSet, check_race_targets
+from .intervals import Interval, IntervalUnion, _require_int
 from .realization import RealizationPlan, TauRaceReport
 
 __all__ = [
@@ -41,6 +42,15 @@ __all__ = [
 
 class SchemaError(ValueError):
     """The file or object does not follow the interchange format."""
+
+
+@contextmanager
+def _schema_errors() -> Iterator[None]:
+    """Report the library's TypeError/ValueError on file content as SchemaError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
 
 
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9][0-9]*)?$")
@@ -68,21 +78,12 @@ def union_from_obj(obj: Any) -> IntervalUnion:
     if not isinstance(obj, list):
         raise SchemaError(f"expected a list of [lo, hi] pairs, got {obj!r}")
     parts = []
-    for item in obj:
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
-        lo, hi = parse_rational(item[0]), parse_rational(item[1])
-        try:
-            parts.append(Interval(lo, hi))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+    with _schema_errors():
+        for item in obj:
+            if not isinstance(item, list) or len(item) != 2:
+                raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
+            parts.append(Interval(parse_rational(item[0]), parse_rational(item[1])))
     return IntervalUnion(parts)
-
-
-def _require_int(obj: Any, what: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise SchemaError(f"{what} must be an integer, got {obj!r}")
-    return obj
 
 
 def read_json(path: str | Path) -> Any:
@@ -108,27 +109,19 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
     for key in ("n", "H", "theta", "m"):
         if key not in data:
             raise SchemaError(f"problem file is missing {key!r}")
-    n = _require_int(data["n"], "n")
-    H = _require_int(data["H"], "H")
-    if n < 2:
-        raise SchemaError(f"need at least two sets, got n={n}")
-    if H < 2:
-        raise SchemaError(f"the construction needs a fold horizon H >= 2, got H={H}")
+    with _schema_errors():
+        n = _require_int(data["n"], "n", lo=2)
+        H = _require_int(data["H"], "H", lo=2)
     theta = parse_rational(data["theta"])
     if theta <= 0:
         raise SchemaError(f"theta must be positive, got {theta}")
     m = data["m"]
     if not isinstance(m, list) or len(m) != n - 1:
         raise SchemaError(f"m must be a list of n-1 = {n - 1} rows")
-    rows = []
-    for row in m:
-        if not isinstance(row, list) or len(row) != H:
-            raise SchemaError(f"each m row must list H = {H} integers")
-        rows.append(tuple(_require_int(v, "m entry") for v in row))
-    try:
-        return DiffMatrix(tuple(rows)), theta
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
+    if any(not isinstance(row, list) or len(row) != H for row in m):
+        raise SchemaError(f"each m row must list H = {H} integers")
+    with _schema_errors():
+        return DiffMatrix(tuple(tuple(row) for row in m)), theta
 
 
 def load_sets_file(path: str | Path) -> list[IntervalUnion]:
@@ -150,20 +143,11 @@ def load_race_targets(path: str | Path) -> list[tuple[int, ...]]:
     raw = data["targets"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'targets' must be a nonempty list of rank tuples")
-    targets = []
     for row in raw:
         if not isinstance(row, list):
             raise SchemaError(f"each target must be a list of ranks, got {row!r}")
-        ranks = tuple(_require_int(v, "rank") for v in row)
-        if not is_rank_tuple(ranks):
-            raise SchemaError(f"not a valid rank tuple (dense ranks from 1): {list(ranks)}")
-        targets.append(ranks)
-    n = len(targets[0])
-    if n < 2:
-        raise SchemaError("a race needs at least two sets")
-    if any(len(t) != n for t in targets):
-        raise SchemaError("rank tuples must all have the same length")
-    return targets
+    with _schema_errors():
+        return check_race_targets(raw)
 
 
 def _difference_report_objs(report: DifferenceReport) -> tuple[list, list]:

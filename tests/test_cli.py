@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sumset_races import cli
 from sumset_races.cli import main
 
 PROBLEM = {"n": 2, "H": 2, "theta": "1", "m": [[1, 0]]}
@@ -59,6 +60,15 @@ class TestBuild:
         bad.write_text("{oops")
         assert main(["build", str(bad), str(tmp_path / "o.json")]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    def test_internal_fault_is_not_a_schema_error(self, tmp_path, monkeypatch):
+        def broken(diffs, theta):
+            raise ValueError("fault inside the construction")
+
+        monkeypatch.setattr(cli, "build_sets", broken)
+        problem = write(tmp_path / "p.json", PROBLEM)
+        with pytest.raises(ValueError, match="fault inside the construction"):
+            main(["build", problem, str(tmp_path / "o.json")])
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "absent.json"), str(tmp_path / "o.json")]) == 2

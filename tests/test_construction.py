@@ -354,16 +354,6 @@ class TestBuildSets:
         with pytest.raises(ValueError):
             build_sets(DiffMatrix(((1, 0),)), F(-1, 2))
 
-    def test_diff_matrix_validation(self):
-        with pytest.raises(ValueError):
-            DiffMatrix(())
-        with pytest.raises(ValueError):
-            DiffMatrix(((1,),))
-        with pytest.raises(ValueError):
-            DiffMatrix(((1, 0), (1, 0, 0)))
-        with pytest.raises(TypeError):
-            DiffMatrix(((1, F(1, 2)),))
-
 
 class TestVerifyDifferences:
     def test_tampering_is_caught_at_every_fold(self):
@@ -389,12 +379,43 @@ class TestVerifyDifferences:
             verify_differences(result.sets[:1], diffs, 1)
 
 
+TABLES = [DiffMatrix, StepMatrix, CarveMatrix]
+
+
+class TestTables:
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize(
+        "entry", [F(1, 2), 1.0, True, "1"], ids=["fraction", "float", "bool", "str"]
+    )
+    def test_rejects_non_int_entries(self, table, entry):
+        with pytest.raises(TypeError):
+            table(((1, 0), (1, entry)))
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize(
+        "rows",
+        [(), ((1,), (1,)), ((1, 0), (1, 0, 0))],
+        ids=["empty", "narrow", "ragged"],
+    )
+    def test_rejects_bad_shapes(self, table, rows):
+        with pytest.raises(ValueError):
+            table(rows)
+
+    @pytest.mark.parametrize("table, n", [(DiffMatrix, 3), (StepMatrix, 3), (CarveMatrix, 2)])
+    def test_counts_sets_and_folds(self, table, n):
+        t = table([[1, 0, 2], [3, 1, 0]])
+        assert t.rows == ((1, 0, 2), (3, 1, 0))
+        assert (t.n, t.H) == (n, 3)
+
+
 class TestCarveMatrixType:
     def test_rejects_negative_and_zero_rows(self):
         with pytest.raises(ValueError):
             CarveMatrix(((1, 0), (-1, 2)))
         with pytest.raises(ValueError):
             CarveMatrix(((1, 0), (0, 0)))
+        with pytest.raises(ValueError):
+            CarveMatrix(((1, 0),))  # one row is one set, not a pair
 
     def test_row_totals(self):
         assert CarveMatrix(((1, 0), (2, 3))).row_totals == (1, 5)

@@ -46,6 +46,10 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize([(0, 1)], 0)
         with pytest.raises(ValueError):
+            realize([(0, 1)], -1)
+        with pytest.raises(TypeError):
+            realize([(0, 1)], True)
+        with pytest.raises(ValueError):
             realize([], 2)
         with pytest.raises(ValueError):
             realize([(0, 1), ()], 2)
@@ -59,6 +63,12 @@ class TestRealize:
             RealizationPlan(width=F(0), horizon=2, base_sets=((0, 1),))
         with pytest.raises(ValueError):
             RealizationPlan(width=F(1, 3), horizon=2, base_sets=())
+        with pytest.raises(TypeError):
+            RealizationPlan(width=F(1, 3), horizon=True, base_sets=((0, 1),))
+        with pytest.raises(TypeError):
+            RealizationPlan(width=0.25, horizon=2, base_sets=((0, 1),))
+        with pytest.raises(ValueError):
+            RealizationPlan(width=F(1, 3), horizon=2, base_sets=((1, 0, 0),))
 
     @given(st.lists(int_sets, min_size=1, max_size=3), st.integers(1, 4))
     def test_prop_fold_measure_is_card_times_block(self, bases, horizon):
@@ -103,6 +113,12 @@ class TestVerifyTauRace:
         sets, _ = realize([(0, 1)], 2)
         with pytest.raises(ValueError):
             verify_tau_race(sets, [(0, 1), (0, 2)], 2)
+
+    @pytest.mark.parametrize("horizon", [0, -1, True])
+    def test_rejects_horizon_without_folds(self, horizon):
+        sets, _ = realize([(0, 1), (0, 2)], 2)
+        with pytest.raises((TypeError, ValueError)):
+            verify_tau_race(sets, [(0, 1), (0, 2)], horizon)
 
     @given(st.lists(int_sets, min_size=2, max_size=4), st.integers(1, 4))
     def test_prop_realization_always_passes_its_own_race(self, bases, horizon):
