@@ -21,10 +21,10 @@ x = IntervalUnion([(0, F(3, 4)), (2, F(11, 4))])
 print("x      =", x)
 print("x + x  =", x + x)
 
-# Folding is iterated summing. By the third fold the gaps of this
-# particular set are gone and a single interval remains.
-for h in (2, 3, 4):
-    folded = x.hfold(h)
+# Folding is iterated summing: folds(4) is the ladder x, 2x, 3x, 4x, each
+# one more sum. By the third fold the gaps of this particular set are gone
+# and a single interval remains.
+for h, folded in enumerate(x.folds(4)[1:], start=2):
     print(f"{h}-fold = {folded}  (measure {folded.measure()})")
 print()
 

@@ -95,9 +95,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     rows = []
     for i, s in enumerate(sets, start=1):
         color = PALETTE[(i - 1) % len(PALETTE)]
-        for h in range(1, args.hmax + 1):
+        for h, fold in enumerate(s.folds(args.hmax), start=1):
             label = f"A{i}" if h == 1 else f"{h}A{i}"
-            rows.append(RenderRow(label=label, union=s.hfold(h), color=color))
+            rows.append(RenderRow(label=label, union=fold, color=color))
     spec = layout(rows)
     doc = render(spec, title=f"{len(sets)} sets, folds up to {args.hmax}")
     with open(args.svg, "w") as fh:

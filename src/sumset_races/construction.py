@@ -395,7 +395,7 @@ def verify_differences(
     if len(sets) != diffs.n:
         raise ValueError(f"expected {diffs.n} sets, got {len(sets)}")
     H = diffs.H
-    measures = [[s.hfold(h).measure() for h in range(1, H + 1)] for s in sets]
+    measures = [[fold.measure() for fold in s.folds(H)] for s in sets]
     checks = []
     for i in range(1, diffs.n):
         for h in range(1, H + 1):

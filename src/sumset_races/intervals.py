@@ -6,12 +6,18 @@ endpoint, overlapping or touching parts merged. Endpoints are
 ``fractions.Fraction``, so measures, Minkowski sums and dilations are
 exact, and equality of canonical forms is equality of point sets. No
 operation ever rounds.
+
+A Minkowski sum A + B is the union, over the parts [lo, lo + L] of B, of
+A thickened by L and shifted by lo; thickening by L fills exactly the gaps
+of A no wider than L, so the sum costs what its output costs rather than
+one piece per pair of parts. ``IntervalUnion.folds`` builds 1A, ..., HA as
+a ladder hA = (h-1)A + A and is the one fold routine every caller shares.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -115,8 +121,13 @@ class IntervalUnion:
         return not self.parts
 
     def measure(self) -> Fraction:
-        """Total length of the union (points contribute nothing)."""
-        return sum((p.hi - p.lo for p in self.parts), Fraction(0))
+        """Total length of the union (points contribute nothing).
+
+        The lengths are summed as integers over the common denominator,
+        and one ``Fraction`` is built at the end.
+        """
+        scale = _common_denominator(self.parts)
+        return Fraction(sum(hi - lo for lo, hi in _scaled_endpoints(self.parts, scale)), scale)
 
     def bounds(self) -> tuple[Fraction, Fraction] | None:
         """Smallest and largest covered point, or None when empty."""
@@ -146,19 +157,28 @@ class IntervalUnion:
         return IntervalUnion(Interval(p.hi * s, p.lo * s) for p in self.parts)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Minkowski sum: all pairwise part sums, re-canonicalized.
+        """Minkowski sum, computed as a union of thickenings.
 
-        Internally the endpoints are rescaled to a common denominator so
-        the sort and merge run on plain integers; the result is exact.
+        For a part [lo, lo + L] of one operand, ``A + [lo, lo + L]`` is the
+        other operand A thickened by L and shifted by lo: each gap of A of
+        width at most L fills and each part stretches right by L. Each
+        distinct L is thickened once, at a cost in the gaps that survive
+        it, so the work follows the output rather than the p*q part pairs.
+        Endpoints are rescaled to a common denominator, so the sort and
+        merge run on plain integers; the result is exact.
         """
         if not isinstance(other, IntervalUnion):
             return NotImplemented
         if not self.parts or not other.parts:
             return IntervalUnion()
-        scale = _common_denominator(self.parts, other.parts)
-        left = _scaled_endpoints(self.parts, scale)
-        right = _scaled_endpoints(other.parts, scale)
-        pairs = [(alo + blo, ahi + bhi) for alo, ahi in left for blo, bhi in right]
+        # Every part of the iterated operand emits at least one piece, so
+        # iterate the one with fewer parts and thicken the other.
+        base, other = (self, other) if len(self.parts) >= len(other.parts) else (other, self)
+        scale = _common_denominator(base.parts, other.parts)
+        thickened = _Thickenings(_scaled_endpoints(base.parts, scale))
+        pairs = []
+        for lo, hi in _scaled_endpoints(other.parts, scale):
+            pairs.extend([(lo + a, lo + b) for a, b in thickened[hi - lo]])
         pairs.sort()
         merged: list[list[int]] = []
         for lo, hi in pairs:
@@ -169,13 +189,22 @@ class IntervalUnion:
                 merged.append([lo, hi])
         return _from_scaled(merged, scale)
 
+    def folds(self, H: int) -> list["IntervalUnion"]:
+        """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
+
+        Each fold is one sum, hA = (h-1)A + A, so the whole ladder costs
+        H - 1 sums. This is the one fold routine; ``hfold`` is its last
+        entry.
+        """
+        _require_int(H, "fold count", lo=1)
+        ladder = [self]
+        for _ in range(H - 1):
+            ladder.append(ladder[-1] + self)
+        return ladder
+
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1)."""
-        _require_int(h, "fold count", lo=1)
-        result = self
-        for _ in range(h - 1):
-            result = result + self
-        return result
+        return self.folds(h)[-1]
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
         """Remove the interiors of ``other``'s parts, keeping all endpoints.
@@ -222,6 +251,32 @@ def _scaled_endpoints(parts: tuple[Interval, ...], scale: int) -> list[tuple[int
         (p.lo.numerator * (scale // p.lo.denominator), p.hi.numerator * (scale // p.hi.denominator))
         for p in parts
     ]
+
+
+class _Thickenings(dict):
+    """Maps L to the integer parts of ``parts + [0, L]``, built once per L.
+
+    ``parts`` are sorted, disjoint integer pairs. Thickening by L fills
+    exactly the gaps of width at most L, so with the gaps sorted by
+    decreasing width the surviving ones are a prefix of that order, found
+    by bisection; one thickening costs O(surviving gaps), not O(parts).
+    """
+
+    def __init__(self, parts: list[tuple[int, int]]) -> None:
+        super().__init__()
+        self.parts = parts
+        # Gap i lies between parts i and i + 1. Keyed on minus its width,
+        # the gaps sort widest first and the keys ascend, ready for bisect.
+        self.by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
+        self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in self.by_width]
+
+    def __missing__(self, L: int) -> list[tuple[int, int]]:
+        parts = self.parts
+        open_gaps = sorted(self.by_width[: bisect_left(self.neg_widths, -L)])  # wider than L
+        starts = [parts[0][0]] + [parts[i + 1][0] for i in open_gaps]
+        ends = [parts[i][1] + L for i in open_gaps] + [parts[-1][1] + L]
+        self[L] = segments = list(zip(starts, ends))
+        return segments
 
 
 def _from_scaled(pairs: list[list[int]], scale: int) -> IntervalUnion:

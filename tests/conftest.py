@@ -35,6 +35,32 @@ def interval_unions(
     )
 
 
+@st.composite
+def gappy_unions(draw, min_parts: int = 1, max_parts: int = 24):
+    """Many parts, narrow gaps of varied widths, some points, mixed denominators.
+
+    Part lengths and gap widths come from the same small range, so a
+    Minkowski sum with another such union fills some gaps and leaves others.
+    """
+    denominators = st.sampled_from([1, 2, 3, 4, 6, 7, 8, 12])
+
+    def width(lo: int, hi: int) -> Fraction:
+        return Fraction(draw(st.integers(lo, hi)), draw(denominators))
+
+    cursor = width(-24, 24)
+    parts = []
+    for _ in range(draw(st.integers(min_parts, max_parts))):
+        length = draw(st.sampled_from([Fraction(0), width(1, 8)]))  # a point or a segment
+        parts.append(Interval(cursor, cursor + length))
+        cursor += length + width(1, 8)
+    return IntervalUnion(parts)
+
+
+def pairwise_sum(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """Reference Minkowski sum: every pair of parts, merged by the constructor."""
+    return IntervalUnion(Interval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts)
+
+
 def assert_canonical(union: IntervalUnion) -> None:
     """Canonical form: sorted parts, strictly separated, endpoints ordered."""
     for part in union.parts:

@@ -3,9 +3,13 @@
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumset_races import cli
 from sumset_races.cli import main
@@ -81,6 +85,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "verification passed" in out
         assert "telescoping: 2/2 ok" in out  # one pair, two folds
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 6), st.data())
+    def test_prop_build_file_round_trips_through_verify(self, n, H, data):
+        row = st.lists(st.integers(-50, 50), min_size=H, max_size=H)
+        rows = data.draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+        theta = data.draw(st.sampled_from(["1", "3/7", "22/7", "113/355"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = write(Path(tmp) / "p.json", {"n": n, "H": H, "theta": theta, "m": rows})
+            built = str(Path(tmp) / "built.json")
+            assert main(["build", problem, built]) == 0
+            assert main(["verify", built, problem]) == 0
 
     def test_tampered_sets_exit_3(self, built, tmp_path, capsys):
         problem, output = built

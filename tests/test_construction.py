@@ -378,6 +378,15 @@ class TestVerifyDifferences:
         with pytest.raises(ValueError):
             verify_differences(result.sets[:1], diffs, 1)
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 10), st.data())
+    def test_prop_random_tables_build_and_verify(self, n, H, data):
+        row = st.lists(st.integers(-50, 50), min_size=H, max_size=H)
+        diffs = DiffMatrix(data.draw(st.lists(row, min_size=n - 1, max_size=n - 1)))
+        theta = data.draw(st.sampled_from([F(1), F(3, 7), F(22, 7), F(113, 355)]))
+        result = build_sets(diffs, theta)
+        assert verify_differences(result.sets, diffs, theta).all_ok
+
 
 TABLES = [DiffMatrix, StepMatrix, CarveMatrix]
 

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_canonical, brute_measure, interval_unions, rationals
+from conftest import (
+    assert_canonical,
+    brute_measure,
+    gappy_unions,
+    interval_unions,
+    pairwise_sum,
+    rationals,
+)
 from sumset_races import Interval, IntervalUnion, grid_measure_oracle
 
 
@@ -101,6 +108,12 @@ class TestHfold:
     def test_rejects_bad_fold_counts(self, bad):
         with pytest.raises((ValueError, TypeError)):
             U((0, 1)).hfold(bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, F(1, 2), True, 1.0])
+    def test_folds_rejects_bad_count_when_called(self, bad):
+        # raised by the call itself, before any fold is read
+        with pytest.raises((ValueError, TypeError)):
+            U((0, 1)).folds(bad)
 
 
 class TestDilateTranslate:
@@ -245,14 +258,32 @@ def test_prop_minkowski_commutes(a, b):
     assert a + b == b + a
 
 
-@given(interval_unions(max_parts=6), interval_unions(max_parts=6))
+any_unions = st.one_of(interval_unions(max_parts=6), gappy_unions())
+
+
+@given(any_unions, any_unions)
 def test_prop_minkowski_sum_matches_pairwise_reference(a, b):
-    # __add__ merges scaled integer endpoints; the reference merges the
-    # Fraction part sums through the constructor's own merge
-    reference = IntervalUnion(
-        Interval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts
-    )
+    # __add__ thickens one operand by the part lengths of the other; the
+    # reference merges every Fraction part sum through the constructor
+    reference = pairwise_sum(a, b)
     assert a + b == reference
+    assert b + a == reference
+
+
+@given(any_unions)
+def test_prop_measure_matches_part_length_sum(u):
+    assert u.measure() == brute_measure(u)
+
+
+@settings(max_examples=50)
+@given(gappy_unions(max_parts=12), st.integers(1, 4))
+def test_prop_folds_match_hfold_and_iterated_pairwise_sums(u, H):
+    ladder = u.folds(H)
+    assert ladder == [u.hfold(h) for h in range(1, H + 1)]
+    reference = [u]
+    for _ in range(H - 1):
+        reference.append(pairwise_sum(reference[-1], u))
+    assert ladder == reference
 
 
 @settings(max_examples=50)
