@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import serialization as ser
 from .construction import build_sets, verify_differences
-from .discrete import search_race_sets
+from .discrete import check_race_bounds, search_race_sets
 from .intervals import grid_measure_oracle
 from .realization import realize, verify_tau_race
 from .svg import PALETTE, RenderRow, layout, render
@@ -64,10 +64,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_race(args: argparse.Namespace) -> int:
     targets = ser.load_race_targets(args.targets)
-    if args.ground < 0:
-        raise ser.SchemaError("--ground must be >= 0")
-    if args.maxsize < 1:
-        raise ser.SchemaError("--maxsize must be >= 1")
+    try:
+        check_race_bounds(args.ground, args.maxsize)
+    except ValueError as exc:
+        raise ser.SchemaError(str(exc)) from None
     witness = search_race_sets(targets, args.ground, args.maxsize)
     if witness is None:
         print(

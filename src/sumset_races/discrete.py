@@ -4,11 +4,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .intervals import _require_int
 
 IntSet = tuple[int, ...]
+
+MAX_RACE_CANDIDATES = 1_000_000
+"""Largest candidate space one race search may enumerate.
+
+Far above the spaces the benchmark catalogue and the CLI defaults use
+(6885 candidates at ground 16, maxsize 6; 794 at ground 12, maxsize 5).
+"""
 
 __all__ = [
     "IntSet",
@@ -17,6 +25,8 @@ __all__ = [
     "dense_rank",
     "is_rank_tuple",
     "check_race_targets",
+    "check_race_bounds",
+    "MAX_RACE_CANDIDATES",
     "search_race_sets",
 ]
 
@@ -78,6 +88,43 @@ def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     return goal
 
 
+def check_race_bounds(ground: int, maxsize: int) -> None:
+    """Validate a race search's bounds and refuse a space too large to enumerate.
+
+    The search enumerates sum_{k < maxsize} C(ground, k) candidates (0 plus
+    k elements of {1, ..., ground}). That count is summed before any
+    candidate exists and the sum stops once it passes
+    ``MAX_RACE_CANDIDATES``, so huge bounds are refused at once. Raises
+    ``TypeError`` for a non-int and ``ValueError`` otherwise.
+    """
+    _require_int(ground, "ground", lo=0)
+    _require_int(maxsize, "maxsize", lo=1)
+    total = 0
+    for k in range(min(maxsize - 1, ground) + 1):
+        total += comb(ground, k)
+        if total > MAX_RACE_CANDIDATES:
+            raise ValueError(
+                f"ground {ground} with maxsize {maxsize} gives more than "
+                f"{MAX_RACE_CANDIDATES} candidate sets; lower ground or maxsize"
+            )
+
+
+def _fold_sizes(base: IntSet, horizon: int) -> tuple[int, ...]:
+    """(|1B|, ..., |horizon B|) for a nonempty set of nonnegative ints.
+
+    Each fold is an int whose bit s is set when s is in hB, built as
+    hB = (h-1)B + B by OR-ing one shifted copy per element of B.
+    """
+    fold, sizes = 1, []
+    for _ in range(horizon):
+        nxt = 0
+        for x in base:
+            nxt |= fold << x
+        fold = nxt
+        sizes.append(fold.bit_count())
+    return tuple(sizes)
+
+
 def search_race_sets(
     targets: Sequence[Sequence[int]], ground: int, maxsize: int
 ) -> Optional[tuple[IntSet, ...]]:
@@ -89,63 +136,62 @@ def search_race_sets(
     at most ``maxsize`` elements, enumerated by size then lexicographically.
     Returns the first matching tuple of sets in product order over that
     enumeration, or None once the space is exhausted. Exhaustion is a
-    normal outcome, not an error.
+    normal outcome, not an error. Bounds whose space holds more than
+    ``MAX_RACE_CANDIDATES`` candidates raise ``ValueError`` before any
+    candidate is built.
+
+    Whether a choice matches depends only on each set's size profile
+    (|1B|, ..., |HB|), so the search keeps the first candidate of each
+    distinct profile and branches over profiles, not candidates. Any
+    matching tuple stays matching when every set is replaced by the first
+    candidate with its profile, so the first match in product order is
+    made of such first candidates, and profiles taken in order of their
+    first candidate visit those tuples in the same order.
     """
     goal = check_race_targets(targets)
-    n = len(goal[0])
-    _require_int(ground, "ground", lo=0)
-    _require_int(maxsize, "maxsize", lo=1)
+    check_race_bounds(ground, maxsize)
+    n, horizon = len(goal[0]), len(goal)
 
-    horizon = len(goal)
-    candidates: list[IntSet] = []
+    first: dict[tuple[int, ...], IntSet] = {}
     for size in range(1, maxsize + 1):
         for rest in combinations(range(1, ground + 1), size - 1):
-            candidates.append((0,) + rest)
+            cand = (0,) + rest
+            first.setdefault(_fold_sizes(cand, horizon), cand)
+    profiles = list(first)  # in order of first candidate
 
-    # Feasibility of a partial choice depends only on the candidates'
-    # size profiles (|1B|, ..., |HB|), never on the elements themselves,
-    # so memoize subtree outcomes on the profile prefix. The suffix found
-    # for a profile prefix is the same for every choice realizing it,
-    # which keeps the first-in-product-order contract intact.
-    profile_ids: dict[tuple[int, ...], int] = {}
-    cand_pid: list[int] = []
-    for cand in candidates:
-        profile = tuple(len(hfold_ints(cand, h)) for h in range(1, horizon + 1))
-        pid = profile_ids.setdefault(profile, len(profile_ids))
-        cand_pid.append(pid)
-    profiles = list(profile_ids)
+    # A prefix shows a target's rank pattern iff every pair of its entries
+    # compares as the target's entries do at every fold. Earlier pairs were
+    # checked when the prefix was built, so entry d is checked only against
+    # entries j < d: signs[d] lists (j, h, sign of target[h][j] - target[h][d]).
+    signs = [
+        [(j, h, (t[j] > t[d]) - (t[j] < t[d])) for j in range(d) for h, t in enumerate(goal)]
+        for d in range(n)
+    ]
 
-    # Rank pattern the first d entries of each target must show.
-    target_prefix = [[dense_rank(t[:d]) for d in range(1, n + 1)] for t in goal]
-
-    def consistent(pids: tuple[int, ...]) -> bool:
-        depth = len(pids)
-        for h in range(horizon):
-            column = tuple(profiles[pid][h] for pid in pids)
-            if dense_rank(column) != target_prefix[h][depth - 1]:
-                return False
-        return True
-
-    memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-
-    def first_suffix(pids: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(pids) == n:
+    # Siblings differ in their newest profile, so the search reaches each
+    # prefix once and a memo of subtree outcomes would never be hit.
+    def first_suffix(prefix: tuple[tuple[int, ...], ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+        depth = len(prefix)
+        if depth == n:
             return ()
-        if pids in memo:
-            return memo[pids]
-        found = None
-        for idx, pid in enumerate(cand_pid):
-            extended = pids + (pid,)
-            if not consistent(extended):
-                continue
-            suffix = first_suffix(extended)
-            if suffix is not None:
-                found = (idx,) + suffix
-                break
-        memo[pids] = found
-        return found
+        # At fold h entry `depth` must lie in [lo[h], hi[h]]: above every
+        # earlier entry the target ranks below it, below every one it ranks
+        # above, equal to every one it ties with.
+        lo, hi = [1] * horizon, [float("inf")] * horizon
+        for j, h, sign in signs[depth]:
+            v = prefix[j][h]
+            if sign >= 0:
+                hi[h] = min(hi[h], v - 1 if sign else v)
+            if sign <= 0:
+                lo[h] = max(lo[h], v + 1 if sign else v)
+        for profile in profiles:
+            if all(a <= v <= b for a, v, b in zip(lo, profile, hi)):
+                suffix = first_suffix(prefix + (profile,))
+                if suffix is not None:
+                    return (profile,) + suffix
+        return None
 
     witness = first_suffix(())
     if witness is None:
         return None
-    return tuple(candidates[i] for i in witness)
+    return tuple(first[profile] for profile in witness)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
-from sumset_races import Interval, IntervalUnion
+from sumset_races import Interval, IntervalUnion, dense_rank, hfold_ints
 
 
 def rationals(lo: int = -8, hi: int = 8, max_denominator: int = 32):
@@ -59,6 +60,49 @@ def gappy_unions(draw, min_parts: int = 1, max_parts: int = 24):
 def pairwise_sum(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """Reference Minkowski sum: every pair of parts, merged by the constructor."""
     return IntervalUnion(Interval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts)
+
+
+def reference_search_race_sets(targets, ground: int, maxsize: int):
+    """Reference race search: depth-first over every candidate at every node.
+
+    Same candidates, order and first-in-product-order contract as
+    ``search_race_sets``; each extended prefix is re-ranked column by column
+    against the targets' prefixes, and subtree outcomes are memoized on the
+    prefix of size profiles.
+    """
+    goal = [tuple(t) for t in targets]
+    n, horizon = len(goal[0]), len(goal)
+    candidates = [
+        (0,) + rest
+        for size in range(1, maxsize + 1)
+        for rest in combinations(range(1, ground + 1), size - 1)
+    ]
+    profiles = [tuple(len(hfold_ints(c, h)) for h in range(1, horizon + 1)) for c in candidates]
+
+    def consistent(prefix) -> bool:
+        depth = len(prefix)
+        return all(
+            dense_rank([p[h] for p in prefix]) == dense_rank(t[:depth]) for h, t in enumerate(goal)
+        )
+
+    memo: dict = {}
+
+    def first_suffix(prefix):
+        if len(prefix) == n:
+            return ()
+        if prefix not in memo:
+            memo[prefix] = None
+            for idx, profile in enumerate(profiles):
+                extended = prefix + (profile,)
+                if consistent(extended):
+                    suffix = first_suffix(extended)
+                    if suffix is not None:
+                        memo[prefix] = (idx,) + suffix
+                        break
+        return memo[prefix]
+
+    witness = first_suffix(())
+    return None if witness is None else tuple(candidates[i] for i in witness)
 
 
 def assert_canonical(union: IntervalUnion) -> None:

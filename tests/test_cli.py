@@ -146,6 +146,14 @@ class TestRace:
         assert main(["race", targets, output, "--ground", "-1"]) == 2
         assert main(["race", targets, output, "--maxsize", "0"]) == 2
 
+    def test_huge_bounds_are_refused(self, tmp_path, capsys):
+        targets = write(tmp_path / "t.json", TARGETS)
+        output = tmp_path / "race.json"
+        huge = str(10**9)
+        assert main(["race", targets, str(output), "--ground", huge, "--maxsize", huge]) == 2
+        assert "candidate sets" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_invalid_targets_exit_2(self, tmp_path):
         targets = write(tmp_path / "t.json", {"targets": [[1, 3]]})
         assert main(["race", targets, str(tmp_path / "o.json")]) == 2

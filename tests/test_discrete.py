@@ -6,10 +6,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
+from sumset_races.discrete import MAX_RACE_CANDIDATES, _fold_sizes, check_race_bounds
+
+from conftest import reference_search_race_sets
 
 
 class TestHfoldInts:
@@ -92,7 +95,7 @@ class TestSearch:
     def test_lead_flip_witness_reverifies(self):
         targets = [(1, 2), (2, 1)]
         witness = search_race_sets(targets, 12, 5)
-        assert witness is not None
+        assert witness == ((0, 1, 3, 7), (0, 1, 2, 3, 4))  # the README's lead flip
         b1, b2 = witness
         assert set(b1) <= set(range(13)) and set(b2) <= set(range(13))
         assert len(b1) <= 5 and len(b2) <= 5
@@ -127,10 +130,18 @@ class TestSearch:
     def test_three_way_race(self):
         targets = [(1, 1, 1), (1, 2, 3)]
         witness = search_race_sets(targets, 8, 4)
-        if witness is not None:
-            for h, target in enumerate(targets, start=1):
-                sizes = tuple(len(hfold_ints(b, h)) for b in witness)
-                assert dense_rank(sizes) == target
+        assert witness == ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))
+        for h, target in enumerate(targets, start=1):
+            sizes = tuple(len(hfold_ints(b, h)) for b in witness)
+            assert dense_rank(sizes) == target
+
+    def test_three_set_reversal_needs_seven_elements(self):
+        # sizes 5 < 6 < 7 while the double sums go 15 > 14 > 13
+        targets = [(1, 2, 3), (3, 2, 1)]
+        assert search_race_sets(targets, 20, 6) is None
+        witness = search_race_sets(targets, 20, 7)
+        assert witness == ((0, 1, 3, 7, 12), (0, 1, 2, 3, 4, 8), (0, 1, 2, 3, 4, 5, 6))
+        assert [len(hfold_ints(b, 2)) for b in witness] == [15, 14, 13]
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError):
@@ -147,6 +158,51 @@ class TestSearch:
             search_race_sets([(1, 2)], -1, 2)
         with pytest.raises(ValueError):
             search_race_sets([(1, 2)], 4, 0)
+        with pytest.raises(TypeError):
+            search_race_sets([(1, 2)], True, 2)
+
+    def test_refuses_huge_bounds_before_enumerating(self):
+        # the count stops at the first binomial term past the limit
+        with pytest.raises(ValueError, match="candidate sets"):
+            search_race_sets([(1, 2)], 10**9, 10**9)
+
+    def test_budget_counts_candidates_exactly(self):
+        # the largest space of size 1..3 sets (0 plus two of 1..g) within the limit
+        g = max(g for g in range(2000) if 1 + g + comb(g, 2) <= MAX_RACE_CANDIDATES)
+        check_race_bounds(g, 3)
+        with pytest.raises(ValueError):
+            check_race_bounds(g + 1, 3)
+        check_race_bounds(16, 6)  # the largest benchmark shape, 6885 candidates
+        check_race_bounds(10, 10**9)  # sizes past ground + 1 add no candidates
+
+
+race_targets = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=n, max_size=n).map(dense_rank),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(race_targets, st.integers(0, 9), st.integers(1, 4))
+# profiles ordered by their sizes rather than by first candidate pick another witness here
+@example([(1, 1, 1), (1, 2, 3), (1, 2, 3)], 5, 4)
+def test_prop_search_matches_reference(targets, ground, maxsize):
+    assert search_race_sets(targets, ground, maxsize) == reference_search_race_sets(
+        targets, ground, maxsize
+    )
+
+
+@given(
+    st.sets(st.integers(0, 20), min_size=1, max_size=6).map(lambda s: tuple(sorted(s))),
+    st.integers(1, 5),
+)
+def test_prop_fold_sizes_match_hfold_ints(base, horizon):
+    assert _fold_sizes(base, horizon) == tuple(
+        len(hfold_ints(base, h)) for h in range(1, horizon + 1)
+    )
 
 
 @given(
