@@ -9,11 +9,12 @@ the program: it propagates with its traceback (exit 1), never as exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
 from . import serialization as ser
-from .construction import build_sets, verify_differences
+from .construction import BuildBudgetError, build_sets, verify_differences
 from .discrete import check_race_bounds, search_race_sets
 from .intervals import grid_measure_oracle
 from .realization import realize, verify_tau_race
@@ -27,7 +28,10 @@ EXIT_EXHAUSTED = 4
 
 def _cmd_build(args: argparse.Namespace) -> int:
     diffs, theta = ser.load_problem(args.problem)
-    result = build_sets(diffs, theta)
+    try:
+        result = build_sets(diffs, theta)
+    except BuildBudgetError as exc:
+        raise ser.SchemaError(str(exc)) from None
     report = verify_differences(result.sets, diffs, theta)
     ser.write_json(args.output, ser.build_output_obj(result, report))
     if not report.all_ok:
@@ -128,7 +132,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and then reused."""
     parser = argparse.ArgumentParser(
         prog="sumset-races",
         description="Exact interval sets whose h-fold sumset measures race as prescribed.",

@@ -26,6 +26,8 @@ from .intervals import Interval, IntervalUnion, Rational, _require_int, as_fract
 
 __all__ = [
     "InternalCheckError",
+    "BuildBudgetError",
+    "MAX_BUILD_GAPS",
     "DiffMatrix",
     "StepMatrix",
     "CarveMatrix",
@@ -49,6 +51,21 @@ __all__ = [
 
 class InternalCheckError(ArithmeticError):
     """An exact identity the construction relies on failed to hold."""
+
+
+MAX_BUILD_GAPS = 100_000
+"""Most gaps one ``build_sets`` call may carve, summed over all its sets.
+
+Each carved gap costs about 0.8 KB at peak while the sets are built
+(tracemalloc, on a 2,500-gap build), so the limit holds a build to
+roughly 80 MB. It is about 300 times the heaviest benchmark instance
+(340 gaps) and about 9 times the most that targets with n <= 4, H <= 10
+and |m| <= 50 can need (10,800, for rows alternating +50 and -50).
+"""
+
+
+class BuildBudgetError(ValueError):
+    """The targets need more carved gaps than ``MAX_BUILD_GAPS``."""
 
 
 @dataclass(frozen=True)
@@ -330,12 +347,19 @@ def build_sets(diffs: DiffMatrix, scale: Rational) -> BuildResult:
 
     The assembled sets are dilated by scale/delta, which turns the raw
     per-gap differences of delta * d[i][h] into scale * d[i][h] exactly.
+    Targets needing more than ``MAX_BUILD_GAPS`` gaps in total raise
+    ``BuildBudgetError`` before anything is carved.
     """
     theta = as_fraction(scale)
     if theta <= 0:
         raise ValueError(f"scale must be positive, got {theta}")
     steps = solve_steps(diffs)
     carves = lift_steps(steps)
+    total = sum(carves.row_totals)
+    if total > MAX_BUILD_GAPS:
+        raise BuildBudgetError(
+            f"the targets need {total} carved gaps, more than the limit of {MAX_BUILD_GAPS}"
+        )
     params = choose_params(diffs.H, diffs.n, max(carves.row_totals))
     filler = filler_set(params.eps)
     ratio = theta / params.delta
@@ -395,7 +419,7 @@ def verify_differences(
     if len(sets) != diffs.n:
         raise ValueError(f"expected {diffs.n} sets, got {len(sets)}")
     H = diffs.H
-    measures = [[fold.measure() for fold in s.folds(H)] for s in sets]
+    measures = [s.fold_measures(H) for s in sets]
     checks = []
     for i in range(1, diffs.n):
         for h in range(1, H + 1):

@@ -10,13 +10,20 @@ operation ever rounds.
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of B, of
 A thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of A no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. ``IntervalUnion.folds`` builds 1A, ..., HA as
-a ladder hA = (h-1)A + A and is the one fold routine every caller shares.
+one piece per pair of parts. Every fold routine climbs one ladder,
+hA = (h-1)A + A, built by ``_fold_ladder``, and every rung is one call of
+the integer kernel ``_int_sum``. ``IntervalUnion.fold_measures`` climbs it
+on one integer grid per set: A is rescaled once, by the lcm of its
+denominators, every fold is a list of integer pairs over that scale, and
+one ``Fraction`` is made per fold. ``IntervalUnion.folds`` (and ``hfold``,
+its last rung) climbs it on unions, one ``__add__`` per rung, because its
+callers need the folds themselves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,10 +131,9 @@ class IntervalUnion:
         """Total length of the union (points contribute nothing).
 
         The lengths are summed as integers over the common denominator,
-        and one ``Fraction`` is built at the end.
+        and one ``Fraction`` is built at the end: the first fold measure.
         """
-        scale = _common_denominator(self.parts)
-        return Fraction(sum(hi - lo for lo, hi in _scaled_endpoints(self.parts, scale)), scale)
+        return self.fold_measures(1)[0]
 
     def bounds(self) -> tuple[Fraction, Fraction] | None:
         """Smallest and largest covered point, or None when empty."""
@@ -141,66 +147,76 @@ class IntervalUnion:
         return idx > 0 and value <= self.parts[idx - 1].hi
 
     def translate(self, offset: Rational) -> "IntervalUnion":
-        """Shift every part by the same amount."""
+        """Shift every part by the same amount.
+
+        The shift runs on integers over one common denominator; a shift
+        is monotone, so the parts stay sorted and apart without a merge.
+        """
         t = as_fraction(offset)
-        return IntervalUnion(Interval(p.lo + t, p.hi + t) for p in self.parts)
+        scale = math.lcm(_common_denominator(self.parts), t.denominator)
+        shift = t.numerator * (scale // t.denominator)
+        return _from_scaled(
+            [(lo + shift, hi + shift) for lo, hi in _scaled_endpoints(self.parts, scale)], scale
+        )
 
     def dilate(self, scale: Rational) -> "IntervalUnion":
-        """Scale about the origin; measure scales by |scale| exactly."""
+        """Scale about the origin; measure scales by |scale| exactly.
+
+        Dilation is monotone, so the scaled parts stay sorted and apart;
+        a negative scale reverses their order and swaps each part's ends.
+        """
         s = as_fraction(scale)
         if self.is_empty:
             return self
         if s == 0:
             return IntervalUnion([Interval(Fraction(0), Fraction(0))])
-        if s > 0:
-            return IntervalUnion(Interval(p.lo * s, p.hi * s) for p in self.parts)
-        return IntervalUnion(Interval(p.hi * s, p.lo * s) for p in self.parts)
+        den = _common_denominator(self.parts)
+        pairs = [(lo * s.numerator, hi * s.numerator) for lo, hi in _scaled_endpoints(self.parts, den)]
+        if s < 0:
+            pairs = [(hi, lo) for lo, hi in reversed(pairs)]
+        return _from_scaled(pairs, den * s.denominator)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Minkowski sum, computed as a union of thickenings.
+        """Minkowski sum, computed as a union of thickenings by ``_int_sum``.
 
-        For a part [lo, lo + L] of one operand, ``A + [lo, lo + L]`` is the
-        other operand A thickened by L and shifted by lo: each gap of A of
-        width at most L fills and each part stretches right by L. Each
-        distinct L is thickened once, at a cost in the gaps that survive
-        it, so the work follows the output rather than the p*q part pairs.
-        Endpoints are rescaled to a common denominator, so the sort and
-        merge run on plain integers; the result is exact.
+        Endpoints are rescaled to a common denominator, so the sum, sort
+        and merge run on plain integers; the result is exact.
         """
         if not isinstance(other, IntervalUnion):
             return NotImplemented
-        if not self.parts or not other.parts:
-            return IntervalUnion()
-        # Every part of the iterated operand emits at least one piece, so
-        # iterate the one with fewer parts and thicken the other.
-        base, other = (self, other) if len(self.parts) >= len(other.parts) else (other, self)
-        scale = _common_denominator(base.parts, other.parts)
-        thickened = _Thickenings(_scaled_endpoints(base.parts, scale))
-        pairs = []
-        for lo, hi in _scaled_endpoints(other.parts, scale):
-            pairs.extend([(lo + a, lo + b) for a, b in thickened[hi - lo]])
-        pairs.sort()
-        merged: list[list[int]] = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        return _from_scaled(merged, scale)
+        scale = _common_denominator(self.parts, other.parts)
+        pairs = _int_sum(_scaled_endpoints(self.parts, scale), _scaled_endpoints(other.parts, scale))
+        return _from_scaled(pairs, scale)
+
+    def _int_folds(self, H: int) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The folds 1A, ..., HA as integer pairs over one shared scale.
+
+        Returns ``(scale, ladder)``: ``ladder[h-1]`` holds the parts of hA
+        with every endpoint multiplied by ``scale``. The lcm of A's
+        denominators is also a common denominator of every hA, since hA's
+        endpoints are sums of A's, so A is rescaled once and each step
+        hA = (h-1)A + A is one integer sum; no ``Fraction`` is made here.
+        """
+        scale = _common_denominator(self.parts)
+        return scale, _fold_ladder(_scaled_endpoints(self.parts, scale), H, _int_sum)
 
     def folds(self, H: int) -> list["IntervalUnion"]:
         """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
 
         Each fold is one sum, hA = (h-1)A + A, so the whole ladder costs
-        H - 1 sums. This is the one fold routine; ``hfold`` is its last
-        entry.
+        H - 1 calls of ``__add__``; ``hfold`` is its last entry.
         """
-        _require_int(H, "fold count", lo=1)
-        ladder = [self]
-        for _ in range(H - 1):
-            ladder.append(ladder[-1] + self)
-        return ladder
+        return _fold_ladder(self, H, operator.add)
+
+    def fold_measures(self, H: int) -> list[Fraction]:
+        """The measures of the folds 1A, ..., HA, without building the folds.
+
+        Equal to ``[fold.measure() for fold in self.folds(H)]``; the ladder
+        runs on integers in ``_int_folds``, and each measure is one
+        ``Fraction`` over a fold's integer lengths.
+        """
+        scale, ladder = self._int_folds(H)
+        return [Fraction(sum(hi - lo for lo, hi in pairs), scale) for pairs in ladder]
 
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1)."""
@@ -279,11 +295,67 @@ class _Thickenings(dict):
         return segments
 
 
-def _from_scaled(pairs: list[list[int]], scale: int) -> IntervalUnion:
-    # The integer pairs are already sorted and merged, so skip _merge.
-    union = IntervalUnion.__new__(IntervalUnion)
-    parts = tuple(Interval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pairs)
-    object.__setattr__(union, "parts", parts)
+def _fold_ladder(first, H: int, add) -> list:
+    """[1A, ..., HA] for A = ``first``, each rung hA = add((h-1)A, A).
+
+    The one fold ladder: ``folds`` climbs it on unions with ``+`` and
+    ``_int_folds`` on integer pairs with ``_int_sum``.
+    """
+    _require_int(H, "fold count", lo=1)
+    ladder = [first]
+    for _ in range(H - 1):
+        ladder.append(add(ladder[-1], first))
+    return ladder
+
+
+def _int_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Minkowski sum of two canonical unions given as sorted integer pairs.
+
+    For a part [lo, lo + L] of one operand, ``A + [lo, lo + L]`` is the
+    other operand A thickened by L and shifted by lo: each gap of A of
+    width at most L fills and each part stretches right by L. Each
+    distinct L is thickened once, at a cost in the gaps that survive it,
+    so the work follows the output rather than the p*q part pairs. The
+    result is sorted and merged, touching pairs included.
+    """
+    if not a or not b:
+        return []
+    # Every part of the iterated operand emits at least one piece, so
+    # iterate the one with fewer parts and thicken the other.
+    base, other = (a, b) if len(a) >= len(b) else (b, a)
+    thickened = _Thickenings(base)
+    pairs = []
+    for lo, hi in other:
+        pairs.extend([(lo + x, lo + y) for x, y in thickened[hi - lo]])
+    pairs.sort()
+    merged: list[tuple[int, int]] = []
+    last_lo, last_hi = pairs[0]
+    for lo, hi in pairs:
+        if lo <= last_hi:
+            if hi > last_hi:
+                last_hi = hi
+        else:
+            merged.append((last_lo, last_hi))
+            last_lo, last_hi = lo, hi
+    merged.append((last_lo, last_hi))
+    return merged
+
+
+def _from_scaled(pairs: Iterable[Sequence[int]], scale: int) -> IntervalUnion:
+    """The union whose parts are ``pairs`` divided by ``scale``.
+
+    The pairs must already be sorted, merged and ordered (lo <= hi), so
+    neither ``_merge`` nor ``Interval.__post_init__`` runs again; each
+    ``Fraction`` is reduced to lowest terms by its constructor.
+    """
+    parts = []
+    for lo, hi in pairs:
+        part = object.__new__(Interval)
+        object.__setattr__(part, "lo", Fraction(lo, scale))
+        object.__setattr__(part, "hi", Fraction(hi, scale))
+        parts.append(part)
+    union = object.__new__(IntervalUnion)
+    object.__setattr__(union, "parts", tuple(parts))
     return union
 
 

@@ -112,7 +112,7 @@ def verify_tau_race(
     if len(sets) != len(base_sets):
         raise ValueError(f"got {len(sets)} interval sets for {len(base_sets)} base sets")
     normalized = [as_int_set(b) for b in base_sets]
-    fold_measures = [[fold.measure() for fold in s.folds(horizon)] for s in sets]
+    fold_measures = [s.fold_measures(horizon) for s in sets]
     checks = []
     for h in range(1, horizon + 1):
         measures = tuple(m[h - 1] for m in fold_measures)

@@ -77,6 +77,13 @@ class TestBuild:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "absent.json"), str(tmp_path / "o.json")]) == 2
 
+    def test_gap_budget_is_a_schema_error(self, tmp_path, capsys):
+        problem = write(tmp_path / "p.json", {"n": 2, "H": 2, "theta": "1", "m": [[10**9, 0]]})
+        output = tmp_path / "o.json"
+        assert main(["build", problem, str(output)]) == 2
+        assert "more than the limit" in capsys.readouterr().err
+        assert not output.exists()
+
 
 class TestVerify:
     def test_passes_on_fresh_build(self, built, capsys):
@@ -212,3 +219,19 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+    def test_calls_in_a_row_share_one_parser(self, built, capsys):
+        # the parser is built once; a build then a verify parse as before
+        problem, output = built
+        assert main(["build", problem, output]) == 0
+        assert main(["verify", output, problem]) == 0
+        assert "verification passed" in capsys.readouterr().out
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_then_valid_call(self, built, capsys):
+        problem, output = built
+        with pytest.raises(SystemExit) as err:
+            main(["build", problem])
+        assert err.value.code == 2
+        assert main(["verify", output, problem]) == 0
+        assert "verification passed" in capsys.readouterr().out

@@ -26,7 +26,8 @@ from sumset_races import (
     thickened_measure,
     verify_differences,
 )
-from sumset_races.construction import _lift_column
+from sumset_races import construction
+from sumset_races.construction import MAX_BUILD_GAPS, BuildBudgetError, _lift_column
 
 
 def exact_params(H=2, max_gaps=1):
@@ -353,6 +354,21 @@ class TestBuildSets:
             build_sets(DiffMatrix(((1, 0),)), 0)
         with pytest.raises(ValueError):
             build_sets(DiffMatrix(((1, 0),)), F(-1, 2))
+
+    def test_refuses_huge_targets_before_carving(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("carve ran before the gap budget was checked")
+
+        monkeypatch.setattr(construction, "carve", unreachable)
+        with pytest.raises(BuildBudgetError, match="1000000002 carved gaps"):
+            build_sets(DiffMatrix(((10**9, 0),)), 1)
+
+    def test_budget_is_on_the_total_over_all_sets(self):
+        # two sets carving 1 and 1 + k gaps: the total is k + 2
+        k = MAX_BUILD_GAPS - 2
+        assert sum(lift_steps(solve_steps(DiffMatrix(((k, 0),)))).row_totals) == MAX_BUILD_GAPS
+        with pytest.raises(BuildBudgetError):
+            build_sets(DiffMatrix(((k + 1, 0),)), 1)
 
 
 class TestVerifyDifferences:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -114,6 +115,32 @@ class TestHfold:
         # raised by the call itself, before any fold is read
         with pytest.raises((ValueError, TypeError)):
             U((0, 1)).folds(bad)
+        with pytest.raises((ValueError, TypeError)):
+            U((0, 1)).fold_measures(bad)
+
+    def test_fold_measures_of_the_filler(self):
+        x = U((0, F(3, 4)), (2, F(11, 4)))
+        assert x.fold_measures(3) == [F(3, 2), (x + x).measure(), F(33, 4)]
+
+    def test_folds_of_the_empty_union(self):
+        assert IntervalUnion().folds(3) == [IntervalUnion()] * 3
+        assert IntervalUnion().fold_measures(3) == [0, 0, 0]
+
+    def test_folds_make_one_sum_per_rung(self, monkeypatch):
+        # the benchmark's tracer counts fold work on IntervalUnion.__add__
+        calls = []
+        add = IntervalUnion.__add__
+
+        def counted(a, b):
+            calls.append(1)
+            return add(a, b)
+
+        monkeypatch.setattr(IntervalUnion, "__add__", counted)
+        x = U((0, F(3, 4)), (2, F(11, 4)))
+        assert x.hfold(3) == U((0, F(33, 4)))
+        assert len(calls) == 2
+        x.folds(4)
+        assert len(calls) == 5
 
 
 class TestDilateTranslate:
@@ -275,6 +302,15 @@ def test_prop_measure_matches_part_length_sum(u):
     assert u.measure() == brute_measure(u)
 
 
+def assert_exact_parts(union):
+    """The invariants ``Interval.__post_init__`` checks, for parts built without it."""
+    for part in union.parts:
+        for end in (part.lo, part.hi):
+            assert type(end) is F
+            assert end.denominator > 0 and math.gcd(end.numerator, end.denominator) == 1
+    assert_canonical(union)
+
+
 @settings(max_examples=50)
 @given(gappy_unions(max_parts=12), st.integers(1, 4))
 def test_prop_folds_match_hfold_and_iterated_pairwise_sums(u, H):
@@ -284,6 +320,29 @@ def test_prop_folds_match_hfold_and_iterated_pairwise_sums(u, H):
     for _ in range(H - 1):
         reference.append(pairwise_sum(reference[-1], u))
     assert ladder == reference
+    assert u.fold_measures(H) == [fold.measure() for fold in reference]
+    for fold in ladder:
+        assert_exact_parts(fold)
+
+
+scales = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2), F(-3)]),
+    rationals(-6, 6, 16),
+)
+
+
+@given(st.one_of(interval_unions(), gappy_unions()), scales)
+def test_prop_translate_and_dilate_match_merged_fraction_maps(u, t):
+    # translate and dilate map the integer endpoints straight through; the
+    # reference maps every Fraction part and merges through the constructor
+    moved = u.translate(t)
+    assert moved == IntervalUnion(Interval(p.lo + t, p.hi + t) for p in u.parts)
+    assert_exact_parts(moved)
+    scaled = u.dilate(t)
+    assert scaled == IntervalUnion(
+        Interval(min(p.lo * t, p.hi * t), max(p.lo * t, p.hi * t)) for p in u.parts
+    )
+    assert_exact_parts(scaled)
 
 
 @settings(max_examples=50)
