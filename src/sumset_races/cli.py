@@ -120,7 +120,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for i, s in enumerate(sets, start=1):
         inner, outer = grid_measure_oracle(s, step)
         exact = s.measure()
-        ok = inner <= exact <= outer and outer - inner <= 2 * step * len(s.parts)
+        ok = inner <= exact <= outer and outer - inner <= 2 * step * len(s.pairs)
         all_ok &= ok
         print(
             f"{i:>4} {ser.format_rational(inner):>16} {ser.format_rational(exact):>16} "

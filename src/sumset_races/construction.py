@@ -18,6 +18,7 @@ gap multiplicities into controlled measure differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -262,18 +263,32 @@ class CarvedBlock:
     Gap j opens at anchor u_j = 1 + eps + 2*H*j*delta and has width
     r*delta, where r is its width class: the first counts[0] gaps are
     class 1, the next counts[1] class 2, and so on. Gaps are open on
-    both sides, so every anchor stays in ``kept``.
+    both sides, so every anchor stays in ``kept``. ``removed`` is the
+    union of the closed gaps; they lie strictly apart, so its parts are
+    the gaps one to one.
     """
 
     counts: tuple[int, ...]
-    anchors: tuple[Fraction, ...]
-    gaps: tuple[Interval, ...]
     removed: IntervalUnion
     kept: IntervalUnion
 
+    @property
+    def gaps(self) -> tuple[Interval, ...]:
+        return self.removed.parts
+
+    @property
+    def anchors(self) -> tuple[Fraction, ...]:
+        """u_0 = 1 + eps, the block's left end, then the anchor of each gap."""
+        return (self.kept.bounds()[0], *(gap.lo for gap in self.gaps))
+
 
 def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
-    """Carve ``counts[r-1]`` open gaps of width r*delta out of the base block."""
+    """Carve ``counts[r-1]`` open gaps of width r*delta out of the base block.
+
+    Every anchor, gap end and block end is an integer multiple of 1/D for
+    D = lcm(den eps, den delta), so gaps and kept pieces are written
+    straight onto that grid, in order, with no merge.
+    """
     clean = tuple(_require_int(v, "gap count", lo=0) for v in counts)
     if len(clean) != params.H:
         raise ValueError(f"need one gap count per width class 1..{params.H}")
@@ -283,21 +298,24 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
     eps, delta, H = params.eps, params.delta, params.H
     if delta > (1 - 3 * eps) / (2 * H * total):
         raise ValueError(f"delta {delta} too coarse to place {total} gaps in the block")
-    anchors = tuple(1 + eps + 2 * H * j * delta for j in range(total + 1))
+    grid = math.lcm(eps.denominator, delta.denominator)
+    unit = delta.numerator * (grid // delta.denominator)  # delta * grid
+    eps_units = eps.numerator * (grid // eps.denominator)
+    block_lo, block_top = grid + eps_units, 2 * grid - 2 * eps_units  # 1 + eps, 2 - 2eps
     gaps = []
-    j = 1
+    anchor = block_lo
     for r, count in enumerate(clean, start=1):
         for _ in range(count):
-            gaps.append(Interval(anchors[j], anchors[j] + r * delta))
-            j += 1
-    block_top = 2 - 2 * eps
-    if gaps and gaps[-1].hi >= block_top:
+            anchor += 2 * H * unit
+            gaps.append((anchor, anchor + r * unit))
+    if gaps[-1][1] >= block_top:
         raise ValueError("params leave no room: the last gap would reach the block's end")
-    base = IntervalUnion([(1 + eps, block_top)])
-    removed = IntervalUnion(gaps)
-    kept = base.subtract(removed)
+    starts = [block_lo] + [hi for _, hi in gaps]
+    ends = [lo for lo, _ in gaps] + [block_top]
     return CarvedBlock(
-        counts=clean, anchors=anchors, gaps=tuple(gaps), removed=removed, kept=kept
+        counts=clean,
+        removed=IntervalUnion._from_pairs(grid, gaps),
+        kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))),
     )
 
 
@@ -326,14 +344,23 @@ def thickened_measure(block: CarvedBlock, h: int, params: ConstructionParams) ->
 def assemble_set(
     filler: IntervalUnion, carved: IntervalUnion, params: ConstructionParams
 ) -> IntervalUnion:
-    """[0, delta] together with the filler and carved block shifted right by c."""
+    """[0, delta] together with the filler and carved block shifted right by c.
+
+    All three go onto one integer grid and through one merge.
+    """
     if carved.is_empty:
         raise ValueError("carved block must be nonempty")
     lo, hi = carved.bounds()
     if lo < 1 + params.eps or hi > 2 - 2 * params.eps:
         raise ValueError("carved block must stay inside [1+eps, 2-2eps]")
-    shifted = IntervalUnion([*filler.parts, *carved.parts]).translate(params.c)
-    return IntervalUnion([Interval(Fraction(0), params.delta), *shifted.parts])
+    delta, c = params.delta, params.c
+    grid = math.lcm(filler.scale, carved.scale, c.denominator, delta.denominator)
+    shift = c.numerator * (grid // c.denominator)
+    pairs = [(0, delta.numerator * (grid // delta.denominator))]
+    for piece in (filler, carved):
+        k = grid // piece.scale
+        pairs += [(lo * k + shift, hi * k + shift) for lo, hi in piece.pairs]
+    return IntervalUnion._from_pairs(grid, pairs)
 
 
 class BuildResult(NamedTuple):

@@ -1,23 +1,28 @@
 """Exact arithmetic on finite unions of closed rational intervals.
 
 Every set handled by this package is a finite union of closed intervals
-with rational endpoints, kept in canonical form: parts sorted by left
-endpoint, overlapping or touching parts merged. Endpoints are
-``fractions.Fraction``, so measures, Minkowski sums and dilations are
-exact, and equality of canonical forms is equality of point sets. No
-operation ever rounds.
+with rational endpoints, kept in canonical form: parts sorted and
+strictly apart, overlapping or touching ones merged. A union is held as
+``(scale, pairs)``: ``scale`` is the least common denominator of the
+endpoints and ``pairs`` are the parts as integer pairs, each endpoint
+multiplied by ``scale``. Equal point sets therefore have equal forms,
+and sums, shifts, dilations and measures run on plain integers, exactly;
+no operation ever rounds. ``Fraction`` appears only at the edges: the
+constructor takes ``Interval``s or ``(lo, hi)`` pairs of ints and
+Fractions, and ``parts``, ``bounds`` and the measures return Fractions.
+Floats are refused.
 
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of B, of
 A thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of A no wider than L, so the sum costs what its output costs rather than
 one piece per pair of parts. Every fold routine climbs one ladder,
 hA = (h-1)A + A, built by ``_fold_ladder``, and every rung is one call of
-the integer kernel ``_int_sum``. ``IntervalUnion.fold_measures`` climbs it
-on one integer grid per set: A is rescaled once, by the lcm of its
-denominators, every fold is a list of integer pairs over that scale, and
-one ``Fraction`` is made per fold. ``IntervalUnion.folds`` (and ``hfold``,
-its last rung) climbs it on unions, one ``__add__`` per rung, because its
-callers need the folds themselves.
+the integer kernel ``_int_sum``, which sorts and merges through
+``_merged``, the one merge routine. A's scale is a common denominator of
+every hA, so ``IntervalUnion.fold_measures`` climbs the ladder on A's
+pairs and makes one ``Fraction`` per fold. ``IntervalUnion.folds`` (and
+``hfold``, its last rung) climbs it on unions, one ``__add__`` per rung,
+because its callers need the folds themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -86,6 +92,7 @@ class Interval:
 
 
 IntervalLike = Union[Interval, Sequence[Rational]]
+IntPairs = Sequence[Sequence[int]]
 
 
 def _as_interval(item: IntervalLike) -> Interval:
@@ -95,68 +102,111 @@ def _as_interval(item: IntervalLike) -> Interval:
     return Interval(lo, hi)
 
 
-def _merge(intervals: Iterable[IntervalLike]) -> tuple[Interval, ...]:
-    """Sort and merge; touching parts ([0,1] and [1,2]) collapse into one."""
-    items = sorted((_as_interval(iv) for iv in intervals), key=lambda iv: (iv.lo, iv.hi))
-    merged: list[Interval] = []
-    for iv in items:
-        if merged and iv.lo <= merged[-1].hi:
-            if iv.hi > merged[-1].hi:
-                merged[-1] = Interval(merged[-1].lo, iv.hi)
-        else:
-            merged.append(iv)
-    return tuple(merged)
-
-
-@dataclass(frozen=True, init=False)
 class IntervalUnion:
     """Canonical finite union of disjoint closed intervals.
 
+    A union is stored as ``(scale, pairs)``: ``pairs`` are the parts as
+    sorted, strictly separated integer pairs (lo <= hi), each endpoint
+    multiplied by ``scale``, and ``scale`` is the least common denominator
+    of the endpoints. The form is canonical, so two unions compare (and
+    hash) equal exactly when they are the same point set. ``parts``, the
+    parts as ``Interval``s with ``Fraction`` ends, is built on first use.
+
     The constructor accepts any iterable of ``Interval`` or ``(lo, hi)``
-    pairs and canonicalizes it, so two unions compare equal exactly when
-    they are the same point set. Construction is idempotent on already
-    canonical input. ``IntervalUnion()`` is the empty set.
+    pairs and canonicalizes it; it is idempotent on already canonical
+    input. ``IntervalUnion()`` is the empty set.
     """
 
-    parts: tuple[Interval, ...]
+    __slots__ = ("_scale", "_pairs", "_parts")
 
     def __init__(self, intervals: Iterable[IntervalLike] = ()) -> None:
-        object.__setattr__(self, "parts", _merge(intervals))
+        parts = [_as_interval(item) for item in intervals]
+        scale = math.lcm(*(end.denominator for p in parts for end in (p.lo, p.hi)))
+        pairs = [
+            (p.lo.numerator * (scale // p.lo.denominator), p.hi.numerator * (scale // p.hi.denominator))
+            for p in parts
+        ]
+        self._set(scale, pairs)
+
+    @classmethod
+    def _from_pairs(cls, scale: int, pairs: IntPairs) -> "IntervalUnion":
+        """The union of the integer pairs ``(lo, hi)``, lo <= hi, divided by ``scale`` > 0.
+
+        Pairs that are already sorted and strictly apart, as the kernels
+        here return them and ``union_to_obj`` writes them, pass one linear
+        check and are kept as they are; any others are sorted and merged.
+        """
+        union = cls.__new__(cls)
+        union._set(scale, pairs)
+        return union
+
+    def _set(self, scale: int, pairs: IntPairs) -> None:
+        if any(left[1] >= right[0] for left, right in pairwise(pairs)):
+            pairs = _merged(list(pairs))
+        g = math.gcd(scale, *chain.from_iterable(pairs))
+        if g > 1:  # reduce to the least common denominator
+            scale //= g
+            pairs = [(lo // g, hi // g) for lo, hi in pairs]
+        self._scale = scale
+        self._pairs = tuple(pairs)
+        self._parts = None
+
+    scale = property(lambda self: self._scale, doc="Least common denominator of the endpoints.")
+    pairs = property(lambda self: self._pairs, doc="The parts as integer pairs over ``scale``.")
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The parts as ``Interval``s, sorted, with lowest-terms ``Fraction`` ends."""
+        if self._parts is None:
+            s = self._scale
+            self._parts = tuple(Interval(Fraction(lo, s), Fraction(hi, s)) for lo, hi in self._pairs)
+        return self._parts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        return self._scale == other._scale and self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return hash((self._scale, self._pairs))
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self._pairs
 
     def measure(self) -> Fraction:
         """Total length of the union (points contribute nothing).
 
-        The lengths are summed as integers over the common denominator,
-        and one ``Fraction`` is built at the end: the first fold measure.
+        The integer lengths are summed and one ``Fraction`` is built at
+        the end: the first fold measure.
         """
         return self.fold_measures(1)[0]
 
     def bounds(self) -> tuple[Fraction, Fraction] | None:
         """Smallest and largest covered point, or None when empty."""
-        if not self.parts:
+        if not self._pairs:
             return None
-        return self.parts[0].lo, self.parts[-1].hi
+        return Fraction(self._pairs[0][0], self._scale), Fraction(self._pairs[-1][1], self._scale)
 
     def __contains__(self, x: Rational) -> bool:
+        # x = num/den lies in [lo, hi] / scale exactly when lo*den <= num*scale <= hi*den
         value = as_fraction(x)
-        idx = bisect_right(self.parts, value, key=lambda p: p.lo)
-        return idx > 0 and value <= self.parts[idx - 1].hi
+        den = value.denominator
+        target = value.numerator * self._scale
+        idx = bisect_right(self._pairs, target, key=lambda p: p[0] * den)
+        return idx > 0 and target <= self._pairs[idx - 1][1] * den
 
     def translate(self, offset: Rational) -> "IntervalUnion":
         """Shift every part by the same amount.
 
-        The shift runs on integers over one common denominator; a shift
-        is monotone, so the parts stay sorted and apart without a merge.
+        A shift is monotone, so the shifted pairs stay sorted and apart
+        without a merge.
         """
         t = as_fraction(offset)
-        scale = math.lcm(_common_denominator(self.parts), t.denominator)
+        scale = math.lcm(self._scale, t.denominator)
         shift = t.numerator * (scale // t.denominator)
-        return _from_scaled(
-            [(lo + shift, hi + shift) for lo, hi in _scaled_endpoints(self.parts, scale)], scale
+        return IntervalUnion._from_pairs(
+            scale, [(lo + shift, hi + shift) for lo, hi in _rescaled(self, scale)]
         )
 
     def dilate(self, scale: Rational) -> "IntervalUnion":
@@ -169,36 +219,36 @@ class IntervalUnion:
         if self.is_empty:
             return self
         if s == 0:
-            return IntervalUnion([Interval(Fraction(0), Fraction(0))])
-        den = _common_denominator(self.parts)
-        pairs = [(lo * s.numerator, hi * s.numerator) for lo, hi in _scaled_endpoints(self.parts, den)]
-        if s < 0:
+            return IntervalUnion._from_pairs(1, [(0, 0)])
+        num = s.numerator
+        pairs = [(lo * num, hi * num) for lo, hi in self._pairs]
+        if num < 0:
             pairs = [(hi, lo) for lo, hi in reversed(pairs)]
-        return _from_scaled(pairs, den * s.denominator)
+        return IntervalUnion._from_pairs(self._scale * s.denominator, pairs)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
         """Minkowski sum, computed as a union of thickenings by ``_int_sum``.
 
-        Endpoints are rescaled to a common denominator, so the sum, sort
-        and merge run on plain integers; the result is exact.
+        Both operands are put over one scale, so the sum, sort and merge
+        run on plain integers; the result is exact.
         """
         if not isinstance(other, IntervalUnion):
             return NotImplemented
-        scale = _common_denominator(self.parts, other.parts)
-        pairs = _int_sum(_scaled_endpoints(self.parts, scale), _scaled_endpoints(other.parts, scale))
-        return _from_scaled(pairs, scale)
+        scale = math.lcm(self._scale, other._scale)
+        return IntervalUnion._from_pairs(
+            scale, _int_sum(_rescaled(self, scale), _rescaled(other, scale))
+        )
 
-    def _int_folds(self, H: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    def _int_folds(self, H: int) -> tuple[int, list[IntPairs]]:
         """The folds 1A, ..., HA as integer pairs over one shared scale.
 
         Returns ``(scale, ladder)``: ``ladder[h-1]`` holds the parts of hA
-        with every endpoint multiplied by ``scale``. The lcm of A's
-        denominators is also a common denominator of every hA, since hA's
-        endpoints are sums of A's, so A is rescaled once and each step
-        hA = (h-1)A + A is one integer sum; no ``Fraction`` is made here.
+        with every endpoint multiplied by ``scale``. A's scale is also a
+        common denominator of every hA, since hA's endpoints are sums of
+        A's, so each step hA = (h-1)A + A is one integer sum; no
+        ``Fraction`` is made here.
         """
-        scale = _common_denominator(self.parts)
-        return scale, _fold_ladder(_scaled_endpoints(self.parts, scale), H, _int_sum)
+        return self._scale, _fold_ladder(self._pairs, H, _int_sum)
 
     def folds(self, H: int) -> list["IntervalUnion"]:
         """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
@@ -227,46 +277,65 @@ class IntervalUnion:
 
         The subtrahend is treated as a union of open intervals, so the
         result is again a closed union; single-point parts of ``other``
-        remove nothing.
+        remove nothing (the two pieces one splits a part into touch, and
+        are merged again). Both operands are sorted, so one pass over the
+        parts walks the gaps forward once.
         """
-        if not self.parts or not other.parts:
+        if not self._pairs or not other._pairs:
             return self
-        pieces: list[Interval] = []
-        for part in self.parts:
-            cursor = part.lo
-            for gap in other.parts:
-                if gap.hi <= cursor:
-                    continue
-                if gap.lo > part.hi:
-                    break
-                if gap.lo >= cursor:
-                    pieces.append(Interval(cursor, min(gap.lo, part.hi)))
-                cursor = gap.hi
-                if cursor > part.hi:
-                    break
-            if cursor <= part.hi:
-                pieces.append(Interval(cursor, part.hi))
-        return IntervalUnion(pieces)
+        scale = math.lcm(self._scale, other._scale)
+        gaps = _rescaled(other, scale)
+        pieces = []
+        first = 0  # the first gap that can still meet a part
+        for lo, hi in _rescaled(self, scale):
+            while first < len(gaps) and gaps[first][1] <= lo:
+                first += 1
+            cursor = lo
+            j = first
+            while j < len(gaps) and gaps[j][0] < hi:
+                gap_lo, gap_hi = gaps[j]
+                if gap_lo >= cursor:
+                    pieces.append((cursor, gap_lo))
+                cursor = gap_hi
+                j += 1
+            if cursor <= hi:
+                pieces.append((cursor, hi))
+        return IntervalUnion._from_pairs(scale, pieces)
 
     def __repr__(self) -> str:
-        if not self.parts:
+        if not self._pairs:
             return "IntervalUnion()"
         return "IntervalUnion(" + " | ".join(repr(p) for p in self.parts) + ")"
 
 
-def _common_denominator(*part_groups: tuple[Interval, ...]) -> int:
-    scale = 1
-    for parts in part_groups:
-        for p in parts:
-            scale = math.lcm(scale, p.lo.denominator, p.hi.denominator)
-    return scale
+def _rescaled(union: IntervalUnion, scale: int) -> IntPairs:
+    """The union's integer pairs over ``scale``, a multiple of its own scale."""
+    k = scale // union._scale
+    if k == 1:
+        return union._pairs
+    return [(lo * k, hi * k) for lo, hi in union._pairs]
 
 
-def _scaled_endpoints(parts: tuple[Interval, ...], scale: int) -> list[tuple[int, int]]:
-    return [
-        (p.lo.numerator * (scale // p.lo.denominator), p.hi.numerator * (scale // p.hi.denominator))
-        for p in parts
-    ]
+def _merged(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sort integer pairs (lo <= hi) in place and merge overlapping or touching ones.
+
+    The one merge routine: ``_int_sum`` and every union built from pairs
+    that are not yet sorted and apart go through it.
+    """
+    if not pairs:
+        return []
+    pairs.sort()
+    merged: list[tuple[int, int]] = []
+    last_lo, last_hi = pairs[0]
+    for lo, hi in pairs:
+        if lo <= last_hi:
+            if hi > last_hi:
+                last_hi = hi
+        else:
+            merged.append((last_lo, last_hi))
+            last_lo, last_hi = lo, hi
+    merged.append((last_lo, last_hi))
+    return merged
 
 
 class _Thickenings(dict):
@@ -327,36 +396,7 @@ def _int_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[tup
     pairs = []
     for lo, hi in other:
         pairs.extend([(lo + x, lo + y) for x, y in thickened[hi - lo]])
-    pairs.sort()
-    merged: list[tuple[int, int]] = []
-    last_lo, last_hi = pairs[0]
-    for lo, hi in pairs:
-        if lo <= last_hi:
-            if hi > last_hi:
-                last_hi = hi
-        else:
-            merged.append((last_lo, last_hi))
-            last_lo, last_hi = lo, hi
-    merged.append((last_lo, last_hi))
-    return merged
-
-
-def _from_scaled(pairs: Iterable[Sequence[int]], scale: int) -> IntervalUnion:
-    """The union whose parts are ``pairs`` divided by ``scale``.
-
-    The pairs must already be sorted, merged and ordered (lo <= hi), so
-    neither ``_merge`` nor ``Interval.__post_init__`` runs again; each
-    ``Fraction`` is reduced to lowest terms by its constructor.
-    """
-    parts = []
-    for lo, hi in pairs:
-        part = object.__new__(Interval)
-        object.__setattr__(part, "lo", Fraction(lo, scale))
-        object.__setattr__(part, "hi", Fraction(hi, scale))
-        parts.append(part)
-    union = object.__new__(IntervalUnion)
-    object.__setattr__(union, "parts", tuple(parts))
-    return union
+    return _merged(pairs)
 
 
 def grid_measure_oracle(union: IntervalUnion, step: Rational) -> tuple[Fraction, Fraction]:
@@ -371,18 +411,20 @@ def grid_measure_oracle(union: IntervalUnion, step: Rational) -> tuple[Fraction,
     g = as_fraction(step)
     if g <= 0:
         raise ValueError(f"grid step must be positive, got {g}")
+    # the endpoint e / scale lies e * gd / (scale * gn) cells right of 0, for g = gn / gd
+    num, den = g.denominator, union.scale * g.numerator
     inner_cells = 0
     outer_cells = 0
     prev_touch_last: int | None = None
-    for part in union.parts:
-        if part.lo == part.hi:
+    for lo, hi in union.pairs:
+        if lo == hi:
             continue
-        first_full = math.ceil(part.lo / g)
-        last_full = math.floor(part.hi / g) - 1
+        first_full = -(-lo * num // den)
+        last_full = hi * num // den - 1
         if last_full >= first_full:
             inner_cells += last_full - first_full + 1
-        first_touch = math.floor(part.lo / g)
-        last_touch = math.ceil(part.hi / g) - 1
+        first_touch = lo * num // den
+        last_touch = -(-hi * num // den) - 1
         if prev_touch_last is not None and first_touch <= prev_touch_last:
             first_touch = prev_touch_last + 1
         if last_touch >= first_touch:

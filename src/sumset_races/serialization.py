@@ -9,6 +9,7 @@ pairs. This is the one format shared by every module and the CLI.
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .construction import (
     DifferenceReport,
 )
 from .discrete import IntSet, check_race_targets
-from .intervals import Interval, IntervalUnion, _require_int
+from .intervals import IntervalUnion, _require_int
 from .realization import RealizationPlan, TauRaceReport
 
 __all__ = [
@@ -60,30 +61,61 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(obj: Any) -> Fraction:
-    if isinstance(obj, bool):
-        raise SchemaError(f"expected a rational 'p/q' string, got {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
+def _parse_ratio(obj: Any) -> tuple[int, int]:
+    """Numerator and positive denominator of a JSON int or a "p/q" string.
+
+    The pair is not reduced. A numeral over the interpreter's limit on
+    int-string digits is refused as a ``SchemaError``, like any malformed one.
+    """
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj, 1
     if isinstance(obj, str) and _RATIONAL.match(obj):
-        return Fraction(obj)
+        num, _, den = obj.partition("/")
+        try:
+            return int(num), int(den or 1)
+        except ValueError as exc:
+            raise SchemaError(f"rational too long: {exc}") from None
     raise SchemaError(f"expected a rational 'p/q' string, got {obj!r}")
 
 
+def parse_rational(obj: Any) -> Fraction:
+    return Fraction(*_parse_ratio(obj))
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def union_to_obj(union: IntervalUnion) -> list[list[str]]:
-    return [[format_rational(p.lo), format_rational(p.hi)] for p in union.parts]
+    s = union.scale
+    return [[_format_ratio(lo, s), _format_ratio(hi, s)] for lo, hi in union.pairs]
 
 
 def union_from_obj(obj: Any) -> IntervalUnion:
+    """Load a union from its [lo, hi] pairs, in any order, overlapping or not.
+
+    Endpoints are parsed to integers and put over one scale; pairs that
+    ``union_to_obj`` wrote are already sorted and apart, so they are not
+    merged again.
+    """
     if not isinstance(obj, list):
         raise SchemaError(f"expected a list of [lo, hi] pairs, got {obj!r}")
-    parts = []
-    with _schema_errors():
-        for item in obj:
-            if not isinstance(item, list) or len(item) != 2:
-                raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
-            parts.append(Interval(parse_rational(item[0]), parse_rational(item[1])))
-    return IntervalUnion(parts)
+    nums, dens = [], []  # the endpoints in file order, lo then hi
+    for item in obj:
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
+        (lo_num, lo_den), (hi_num, hi_den) = _parse_ratio(item[0]), _parse_ratio(item[1])
+        if lo_num * hi_den > hi_num * lo_den:
+            lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+            raise SchemaError(f"endpoints out of order: {lo} > {hi}")
+        nums += (lo_num, hi_num)
+        dens += (lo_den, hi_den)
+    scale = math.lcm(*dens)
+    ends = [num * (scale // den) for num, den in zip(nums, dens)]
+    pairs = list(zip(ends[::2], ends[1::2]))
+    return IntervalUnion._from_pairs(scale, pairs)
 
 
 def read_json(path: str | Path) -> Any:
@@ -93,7 +125,7 @@ def read_json(path: str | Path) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -8,6 +8,7 @@ endpoints it depicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
 from .intervals import IntervalUnion
@@ -96,11 +97,13 @@ def render(spec: RenderSpec, title: str = "interval sets") -> str:
             f'<text x="4" y="{y + 4:.1f}" font-family="sans-serif" '
             f'font-size="12" fill="#333">{escape(row.label)}</text>'
         )
-        for part in row.union.parts:
-            lo_px = spec.to_px(part.lo)
-            hi_px = spec.to_px(part.hi)
-            tip = escape(f"{row.label}: [{part.lo}, {part.hi}]")
-            if part.lo == part.hi:
+        scale = row.union.scale
+        for lo_end, hi_end in row.union.pairs:
+            lo, hi = Fraction(lo_end, scale), Fraction(hi_end, scale)
+            lo_px = spec.to_px(lo)
+            hi_px = spec.to_px(hi)
+            tip = escape(f"{row.label}: [{lo}, {hi}]")
+            if lo == hi:
                 out.append(
                     f'<circle cx="{lo_px:.2f}" cy="{y:.1f}" r="2.5" fill="{row.color}">'
                     f"<title>{tip}</title></circle>"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +56,96 @@ def gappy_unions(draw, min_parts: int = 1, max_parts: int = 24):
         parts.append(Interval(cursor, cursor + length))
         cursor += length + width(1, 8)
     return IntervalUnion(parts)
+
+
+@st.composite
+def interval_soups(draw, max_parts: int = 12):
+    """Unsorted, overlapping, touching, nested and point intervals, mixed denominators."""
+    pieces = draw(st.lists(intervals(max_denominator=12), max_size=max_parts))
+    for part in draw(gappy_unions(min_parts=0, max_parts=8)).parts:
+        pieces.append(part)
+        if draw(st.booleans()):  # a neighbour that touches or overlaps it
+            pieces.append(Interval(part.hi, part.hi + draw(rationals(0, 2, 6))))
+    return draw(st.permutations(pieces))
+
+
+# Reference kernels: the Fraction implementation that IntervalUnion had when
+# unions were stored as tuples of Interval parts. Each takes and returns
+# parts, so it shares no code with the integer representation it checks.
+
+
+def reference_merge(items) -> tuple[Interval, ...]:
+    """Sort and merge; touching parts ([0,1] and [1,2]) collapse into one."""
+    parts = sorted(
+        (iv if isinstance(iv, Interval) else Interval(*iv) for iv in items),
+        key=lambda iv: (iv.lo, iv.hi),
+    )
+    merged: list[Interval] = []
+    for iv in parts:
+        if merged and iv.lo <= merged[-1].hi:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+    return tuple(merged)
+
+
+def reference_subtract(parts, gaps) -> tuple[Interval, ...]:
+    """Remove the open interiors of ``gaps`` from the closed ``parts``."""
+    if not parts or not gaps:
+        return tuple(parts)
+    pieces: list[Interval] = []
+    for part in parts:
+        cursor = part.lo
+        for gap in gaps:
+            if gap.hi <= cursor:
+                continue
+            if gap.lo > part.hi:
+                break
+            if gap.lo >= cursor:
+                pieces.append(Interval(cursor, min(gap.lo, part.hi)))
+            cursor = gap.hi
+            if cursor > part.hi:
+                break
+        if cursor <= part.hi:
+            pieces.append(Interval(cursor, part.hi))
+    return reference_merge(pieces)
+
+
+def reference_translate(parts, offset) -> tuple[Interval, ...]:
+    return reference_merge(Interval(p.lo + offset, p.hi + offset) for p in parts)
+
+
+def reference_dilate(parts, scale) -> tuple[Interval, ...]:
+    if not parts:
+        return ()
+    if scale == 0:
+        return (Interval(Fraction(0), Fraction(0)),)
+    return reference_merge(
+        Interval(min(p.lo * scale, p.hi * scale), max(p.lo * scale, p.hi * scale)) for p in parts
+    )
+
+
+def reference_measure(parts) -> Fraction:
+    return sum((p.hi - p.lo for p in parts), Fraction(0))
+
+
+def reference_grid_oracle(parts, step) -> tuple[Fraction, Fraction]:
+    """``grid_measure_oracle`` counted on Fraction parts: (inner, outer) cell measure."""
+    inner_cells = outer_cells = 0
+    prev_touch_last = None
+    for part in parts:
+        if part.lo == part.hi:
+            continue
+        first_full, last_full = math.ceil(part.lo / step), math.floor(part.hi / step) - 1
+        inner_cells += max(0, last_full - first_full + 1)
+        first_touch, last_touch = math.floor(part.lo / step), math.ceil(part.hi / step) - 1
+        if prev_touch_last is not None and first_touch <= prev_touch_last:
+            first_touch = prev_touch_last + 1
+        if last_touch >= first_touch:
+            outer_cells += last_touch - first_touch + 1
+            prev_touch_last = last_touch
+    return step * inner_cells, step * outer_cells
 
 
 def pairwise_sum(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:

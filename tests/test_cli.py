@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -203,14 +204,53 @@ class TestOracle:
         assert main(["oracle", output, "--grid-step", "0.5"]) == 2
 
 
+class TestOversizedNumerals:
+    """Numerals longer than the int-string digit limit are schema errors, exit 2."""
+
+    DIGITS = "1" * 5000
+
+    @pytest.fixture(autouse=True)
+    def default_digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_theta_string(self, tmp_path, capsys):
+        problem = write(tmp_path / "p.json", {**PROBLEM, "theta": self.DIGITS})
+        assert main(["build", problem, str(tmp_path / "o.json")]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_m_entry(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text('{"n": 2, "H": 2, "theta": "1", "m": [[%s, 0]]}' % self.DIGITS)
+        assert main(["build", str(problem), str(tmp_path / "o.json")]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_grid_step(self, built, capsys):
+        _, output = built
+        assert main(["oracle", output, "--grid-step", "1/" + self.DIGITS]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_sets_file_endpoint(self, built, tmp_path, capsys):
+        problem, _ = built
+        sets = write(tmp_path / "s.json", {"sets": [[["0", "1/" + self.DIGITS]], [["0", "1"]]]})
+        assert main(["verify", sets, problem]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         problem = write(tmp_path / "p.json", PROBLEM)
         output = str(tmp_path / "o.json")
+        # the child imports the package the suite imports, installed or not
+        source = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sumset_races", "build", problem, output],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "difference checks pass" in proc.stdout

@@ -14,9 +14,16 @@ from conftest import (
     assert_canonical,
     brute_measure,
     gappy_unions,
+    interval_soups,
     interval_unions,
     pairwise_sum,
     rationals,
+    reference_dilate,
+    reference_grid_oracle,
+    reference_measure,
+    reference_merge,
+    reference_subtract,
+    reference_translate,
 )
 from sumset_races import Interval, IntervalUnion, grid_measure_oracle
 
@@ -303,7 +310,8 @@ def test_prop_measure_matches_part_length_sum(u):
 
 
 def assert_exact_parts(union):
-    """The invariants ``Interval.__post_init__`` checks, for parts built without it."""
+    """Every part of ``union`` has ordered, lowest-terms ``Fraction`` ends, and the
+    parts are canonical."""
     for part in union.parts:
         for end in (part.lo, part.hi):
             assert type(end) is F
@@ -383,3 +391,77 @@ def test_prop_subtract_then_measure_never_grows(a, b):
     assert diff.measure() <= a.measure()
     # removed interiors, so adding the closed parts back restores the set
     assert IntervalUnion([*diff.parts, *(b.parts)]).measure() >= a.measure()
+
+
+# ------------------------------------- differential against the Fraction kernels
+
+
+@settings(max_examples=50)
+@given(interval_soups())
+def test_prop_construction_matches_reference_merge(soup):
+    u = IntervalUnion(soup)
+    assert u.parts == reference_merge(soup)
+    assert_exact_parts(u)
+    # the stored form: integer pairs over the least common denominator
+    assert u.scale == math.lcm(*(end.denominator for p in u.parts for end in (p.lo, p.hi)))
+    assert u.pairs == tuple((p.lo * u.scale, p.hi * u.scale) for p in u.parts)
+
+
+@settings(max_examples=50)
+@given(interval_soups(), interval_soups())
+def test_prop_equality_and_hash_follow_the_point_set(s1, s2):
+    a, b = IntervalUnion(s1), IntervalUnion(s2)
+    assert (a == b) == (reference_merge(s1) == reference_merge(s2))
+    # the same point set from a different soup: its reference parts, reversed
+    again = IntervalUnion(reversed(reference_merge(s1)))
+    assert again == a and hash(again) == hash(a)
+    assert a != reference_merge(s1)  # a union is not a tuple of parts
+
+
+@given(any_unions, any_unions)
+def test_prop_sum_matches_reference_merge_of_part_pairs(a, b):
+    pairs = [Interval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts]
+    assert (a + b).parts == reference_merge(pairs)
+    assert_exact_parts(a + b)
+
+
+@settings(max_examples=50)
+@given(st.one_of(any_unions, interval_soups().map(IntervalUnion)), any_unions)
+def test_prop_subtract_matches_reference(a, b):
+    diff = a.subtract(b)
+    assert diff.parts == reference_subtract(a.parts, b.parts)
+    assert_exact_parts(diff)
+
+
+@given(any_unions, scales)
+def test_prop_translate_dilate_measure_match_reference(u, t):
+    assert u.translate(t).parts == reference_translate(u.parts, t)
+    assert u.dilate(t).parts == reference_dilate(u.parts, t)
+    assert u.measure() == reference_measure(u.parts)
+
+
+@settings(max_examples=50)
+@given(gappy_unions(max_parts=12), st.integers(1, 4))
+def test_prop_fold_measures_match_reference_ladder(u, H):
+    fold = u.parts
+    expected = [reference_measure(fold)]
+    for _ in range(H - 1):
+        fold = reference_merge(Interval(p.lo + q.lo, p.hi + q.hi) for p in fold for q in u.parts)
+        expected.append(reference_measure(fold))
+    assert u.fold_measures(H) == expected
+
+
+@settings(max_examples=50)
+@given(interval_soups(), st.lists(rationals(-30, 30, 24), max_size=20))
+def test_prop_bounds_and_membership_match_reference(soup, points):
+    u, parts = IntervalUnion(soup), reference_merge(soup)
+    assert u.bounds() == (None if not parts else (parts[0].lo, parts[-1].hi))
+    ends = [end for p in soup for end in (p.lo, p.hi)]
+    for x in [*points, *ends]:
+        assert (x in u) == any(p.lo <= x <= p.hi for p in parts)
+
+
+@given(st.one_of(any_unions, interval_soups().map(IntervalUnion)), rationals(0, 3, 48))
+def test_prop_grid_oracle_matches_reference(u, step):
+    step = step or F(1, 48)
+    assert grid_measure_oracle(u, step) == reference_grid_oracle(u.parts, step)

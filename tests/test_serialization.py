@@ -9,6 +9,8 @@ from hypothesis import given
 from conftest import interval_unions, rationals
 from sumset_races import (
     DiffMatrix,
+    Interval,
+    IntervalUnion,
     build_sets,
     realize,
     verify_differences,
@@ -83,6 +85,72 @@ class TestUnions:
     @given(interval_unions())
     def test_prop_round_trip(self, u):
         assert union_from_obj(union_to_obj(u)) == u
+
+
+class TestLoadPath:
+    """Files that are not canonical load to the canonical union or fail as before.
+
+    The expected unions and error texts were recorded before unions were
+    held as integer pairs, when every part went through ``Interval`` and a
+    merge of Fractions.
+    """
+
+    @pytest.mark.parametrize(
+        "obj,expected",
+        [
+            ([["3", "4"], ["0", "1"]], [["0", "1"], ["3", "4"]]),  # unsorted
+            ([["0", "2"], ["1", "3"]], [["0", "3"]]),  # overlapping
+            ([["0", "1"], ["1/2", "3/4"]], [["0", "1"]]),  # nested
+            ([["0", "1"], ["1", "2"]], [["0", "2"]]),  # touching
+            ([["1/3", "1/2"], ["1/2", "2/3"]], [["1/3", "2/3"]]),  # touching, mixed denominators
+            ([["0", "1"], ["2", "3"], ["1", "2"]], [["0", "3"]]),  # unsorted and touching
+            ([["2/4", "6/4"]], [["1/2", "3/2"]]),  # not in lowest terms
+            ([["-3/6", "-1/3"]], [["-1/2", "-1/3"]]),
+            ([["4/2", "4/2"]], [["2", "2"]]),
+            ([["-0", "1"]], [["0", "1"]]),
+            ([["-0/5", "0"]], [["0", "0"]]),
+            ([["-1/1", "-0"]], [["-1", "0"]]),
+            ([["1", "1"], ["0", "1/2"], ["5", "5"]], [["0", "1/2"], ["1", "1"], ["5", "5"]]),  # points
+            ([[1, "2"]], [["1", "2"]]),  # a JSON int endpoint
+            ([], []),
+        ],
+    )
+    def test_canonicalizes(self, obj, expected):
+        u = union_from_obj(obj)
+        assert union_to_obj(u) == expected
+        assert u == union_from_obj(expected)
+        assert u == IntervalUnion(Interval(parse_rational(lo), parse_rational(hi)) for lo, hi in obj)
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([["2", "1"]], "endpoints out of order: 2 > 1"),
+            ([["1/2", "1/3"]], "endpoints out of order: 1/2 > 1/3"),
+            ([["0", "1"], ["3", "2"]], "endpoints out of order: 3 > 2"),
+            ([["2", "1"], ["a", "1"]], "endpoints out of order: 2 > 1"),  # first fault wins
+            ([["a", "1"], ["2", "1"]], "expected a rational 'p/q' string, got 'a'"),
+            ([["0", "1"], "x"], "expected an [lo, hi] pair, got 'x'"),
+            ([["0", "1"], [1.5, 2]], "expected a rational 'p/q' string, got 1.5"),
+            ([["1", "1/0"]], "expected a rational 'p/q' string, got '1/0'"),
+            ([[True, "1"]], "expected a rational 'p/q' string, got True"),
+            ("x", "expected a list of [lo, hi] pairs, got 'x'"),
+        ],
+    )
+    def test_errors(self, obj, message):
+        with pytest.raises(SchemaError) as err:
+            union_from_obj(obj)
+        assert str(err.value) == message
+
+    def test_build_file_round_trips_byte_identically(self, tmp_path):
+        diffs = DiffMatrix(((3, -1, 2), (-2, 4, 0)))
+        result = build_sets(diffs, F(5, 7))
+        path = tmp_path / "built.json"
+        write_json(path, build_output_obj(result, verify_differences(result.sets, diffs, F(5, 7))))
+        data = read_json(path)
+        data["sets"] = [union_to_obj(u) for u in load_sets_file(path)]
+        again = tmp_path / "again.json"
+        write_json(again, data)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestProblemFiles:
