@@ -31,18 +31,19 @@ for i, s in enumerate(sets, start=1):
 print()
 
 # Two independent routes to the same rank pattern: interval measures on
-# one side, integer sumset sizes on the other.
-report = verify_tau_race(sets, witness, horizon=len(targets))
-for check, want in zip(report.checks, targets):
+# one side, integer sumset sizes on the other. Each fold's check passes
+# when both routes rank exactly as its target asks.
+report = verify_tau_race(sets, witness, targets)
+for check in report.checks:
     print(
         f"h={check.h}: measures {tuple(str(m) for m in check.measures)}"
         f" -> ranks {check.measure_ranks}, sizes {check.cardinalities}"
-        f" -> ranks {check.cardinality_ranks}, wanted {want}"
+        f" -> ranks {check.cardinality_ranks}, wanted {check.target}"
     )
-print("measure ranks match size ranks everywhere:", report.all_ok)
-print("every wanted pattern hit:", all(
-    c.cardinality_ranks == tuple(w) for c, w in zip(report.checks, targets)
+print("measure ranks match size ranks everywhere:", all(
+    c.measure_ranks == c.cardinality_ranks for c in report.checks
 ))
+print("every wanted pattern hit:", report.all_ok)
 print()
 
 # The rank patterns themselves are dense: ties share a rank and no rank

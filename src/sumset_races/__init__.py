@@ -7,9 +7,12 @@ Two capabilities, both with zero numeric tolerance:
   for every fold up to the horizon at once.
 * ``search_race_sets`` plus ``realize`` finds integer sets whose sumset
   sizes follow prescribed rank patterns fold by fold and transports them
-  to interval sets whose measures follow the same patterns.
+  to interval sets whose measures follow the same patterns;
+  ``verify_tau_race`` checks both against the patterns.
 
-All arithmetic is ``fractions.Fraction``; nothing is ever rounded.
+Inside, an interval union is held as integers over one common
+denominator; every API edge takes and returns ``fractions.Fraction``.
+Nothing is ever rounded.
 """
 
 from .construction import (

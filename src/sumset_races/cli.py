@@ -79,12 +79,10 @@ def _cmd_race(args: argparse.Namespace) -> int:
             f"and at most {args.maxsize} elements per set"
         )
         return EXIT_EXHAUSTED
-    horizon = len(targets)
-    sets, plan = realize(witness, horizon)
-    report = verify_tau_race(sets, witness, horizon)
-    obj = ser.race_output_obj(witness, plan, sets, report, targets)
-    ser.write_json(args.output, obj)
-    if not obj["all_pass"]:
+    sets, plan = realize(witness, len(targets))
+    report = verify_tau_race(sets, witness, targets)
+    ser.write_json(args.output, ser.race_output_obj(witness, plan, sets, report))
+    if not report.all_ok:
         print("realized witness failed verification", file=sys.stderr)
         return EXIT_VERIFY
     pretty = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in witness)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 from .intervals import Interval, IntervalUnion, Rational, _require_int, as_fraction
@@ -263,18 +264,19 @@ class CarvedBlock:
     Gap j opens at anchor u_j = 1 + eps + 2*H*j*delta and has width
     r*delta, where r is its width class: the first counts[0] gaps are
     class 1, the next counts[1] class 2, and so on. Gaps are open on
-    both sides, so every anchor stays in ``kept``. ``removed`` is the
-    union of the closed gaps; they lie strictly apart, so its parts are
-    the gaps one to one.
+    both sides, so every anchor stays in ``kept``; they have positive
+    width and lie strictly inside the block, so ``gaps``, the holes
+    between consecutive parts of ``kept``, are the gaps one to one.
     """
 
     counts: tuple[int, ...]
-    removed: IntervalUnion
     kept: IntervalUnion
 
     @property
     def gaps(self) -> tuple[Interval, ...]:
-        return self.removed.parts
+        s = self.kept.scale
+        holes = pairwise(self.kept.pairs)
+        return tuple(Interval(Fraction(lo, s), Fraction(hi, s)) for (_, lo), (hi, _) in holes)
 
     @property
     def anchors(self) -> tuple[Fraction, ...]:
@@ -286,8 +288,8 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
     """Carve ``counts[r-1]`` open gaps of width r*delta out of the base block.
 
     Every anchor, gap end and block end is an integer multiple of 1/D for
-    D = lcm(den eps, den delta), so gaps and kept pieces are written
-    straight onto that grid, in order, with no merge.
+    D = lcm(den eps, den delta), so the kept pieces between the gaps are
+    written straight onto that grid, in order, with no merge.
     """
     clean = tuple(_require_int(v, "gap count", lo=0) for v in counts)
     if len(clean) != params.H:
@@ -312,11 +314,7 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
         raise ValueError("params leave no room: the last gap would reach the block's end")
     starts = [block_lo] + [hi for _, hi in gaps]
     ends = [lo for lo, _ in gaps] + [block_top]
-    return CarvedBlock(
-        counts=clean,
-        removed=IntervalUnion._from_pairs(grid, gaps),
-        kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))),
-    )
+    return CarvedBlock(counts=clean, kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))))
 
 
 def thickened_measure(block: CarvedBlock, h: int, params: ConstructionParams) -> Fraction:

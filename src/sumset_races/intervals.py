@@ -239,17 +239,6 @@ class IntervalUnion:
             scale, _int_sum(_rescaled(self, scale), _rescaled(other, scale))
         )
 
-    def _int_folds(self, H: int) -> tuple[int, list[IntPairs]]:
-        """The folds 1A, ..., HA as integer pairs over one shared scale.
-
-        Returns ``(scale, ladder)``: ``ladder[h-1]`` holds the parts of hA
-        with every endpoint multiplied by ``scale``. A's scale is also a
-        common denominator of every hA, since hA's endpoints are sums of
-        A's, so each step hA = (h-1)A + A is one integer sum; no
-        ``Fraction`` is made here.
-        """
-        return self._scale, _fold_ladder(self._pairs, H, _int_sum)
-
     def folds(self, H: int) -> list["IntervalUnion"]:
         """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
 
@@ -261,12 +250,14 @@ class IntervalUnion:
     def fold_measures(self, H: int) -> list[Fraction]:
         """The measures of the folds 1A, ..., HA, without building the folds.
 
-        Equal to ``[fold.measure() for fold in self.folds(H)]``; the ladder
-        runs on integers in ``_int_folds``, and each measure is one
-        ``Fraction`` over a fold's integer lengths.
+        Equal to ``[fold.measure() for fold in self.folds(H)]``. A's scale
+        is also a common denominator of every hA, since hA's endpoints are
+        sums of A's, so the ladder climbs on A's integer pairs, one
+        ``_int_sum`` per rung, and each measure is one ``Fraction`` over a
+        fold's integer lengths.
         """
-        scale, ladder = self._int_folds(H)
-        return [Fraction(sum(hi - lo for lo, hi in pairs), scale) for pairs in ladder]
+        ladder = _fold_ladder(self._pairs, H, _int_sum)
+        return [Fraction(sum(hi - lo for lo, hi in pairs), self._scale) for pairs in ladder]
 
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1)."""
@@ -368,7 +359,7 @@ def _fold_ladder(first, H: int, add) -> list:
     """[1A, ..., HA] for A = ``first``, each rung hA = add((h-1)A, A).
 
     The one fold ladder: ``folds`` climbs it on unions with ``+`` and
-    ``_int_folds`` on integer pairs with ``_int_sum``.
+    ``fold_measures`` on integer pairs with ``_int_sum``.
     """
     _require_int(H, "fold count", lo=1)
     ladder = [first]

@@ -5,6 +5,7 @@ small enough that blocks in every h-fold sumset up to the horizon stay
 pairwise disjoint. The h-fold measure is then |hB| times h*width, so the
 rank pattern of the measures matches the rank pattern of the sumset
 sizes: whatever order race the integers run, the interval sets run too.
+``verify_tau_race`` checks both patterns against the targeted ones.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .discrete import IntSet, as_int_set, dense_rank, hfold_ints
+from .discrete import IntSet, as_int_set, check_race_targets, dense_rank, hfold_ints
 from .intervals import Interval, IntervalUnion, _require_int, as_fraction
 
 __all__ = [
@@ -77,17 +78,18 @@ def realize(
 
 @dataclass(frozen=True)
 class TauRaceCheck:
-    """Rank patterns of the h-fold measures versus the h-fold sumset sizes."""
+    """Rank patterns of the h-fold measures and sumset sizes, and the one wanted."""
 
     h: int
     measures: tuple[Fraction, ...]
     cardinalities: tuple[int, ...]
     measure_ranks: tuple[int, ...]
     cardinality_ranks: tuple[int, ...]
+    target: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        return self.measure_ranks == self.cardinality_ranks
+        return self.measure_ranks == self.cardinality_ranks == self.target
 
 
 @dataclass(frozen=True)
@@ -100,21 +102,28 @@ class TauRaceReport:
 
 
 def verify_tau_race(
-    sets: Sequence[IntervalUnion], base_sets: Sequence[Sequence[int]], horizon: int
+    sets: Sequence[IntervalUnion],
+    base_sets: Sequence[Sequence[int]],
+    targets: Sequence[Sequence[int]],
 ) -> TauRaceReport:
-    """Check, fold by fold, that measures and sumset sizes rank identically.
+    """Check, fold by fold, that measures and sumset sizes both rank as targeted.
 
-    The measures come from the generic interval fold and the sizes from
-    the integer fold; the two routes share no code, so agreement is a
-    real cross-check and not an echo.
+    ``targets`` holds one dense rank tuple per fold, with one rank per
+    set, so the horizon is ``len(targets)``. The measures come from the
+    generic interval fold and the sizes from the integer fold; the two
+    routes share no code, so agreement is a real cross-check and not an
+    echo.
     """
-    _require_int(horizon, "horizon", lo=1)  # a report with no folds would pass vacuously
+    goal = check_race_targets(targets)  # nonempty, so a report always has folds
+    if len(goal[0]) != len(sets):
+        raise ValueError(f"rank tuples of length {len(goal[0])} for {len(sets)} sets")
     if len(sets) != len(base_sets):
         raise ValueError(f"got {len(sets)} interval sets for {len(base_sets)} base sets")
+    horizon = len(goal)
     normalized = [as_int_set(b) for b in base_sets]
     fold_measures = [s.fold_measures(horizon) for s in sets]
     checks = []
-    for h in range(1, horizon + 1):
+    for h, target in enumerate(goal, start=1):
         measures = tuple(m[h - 1] for m in fold_measures)
         cards = tuple(len(hfold_ints(b, h)) for b in normalized)
         checks.append(
@@ -124,6 +133,7 @@ def verify_tau_race(
                 cardinalities=cards,
                 measure_ranks=dense_rank(measures),
                 cardinality_ranks=dense_rank(cards),
+                target=target,
             )
         )
     return TauRaceReport(checks=tuple(checks))

@@ -1,9 +1,11 @@
 """JSON interchange: rationals as "p/q" strings, unions as endpoint pairs.
 
 Rationals serialize in lowest terms, with a bare "p" when the denominator
-is 1; floats are rejected on input so nothing inexact can leak into the
-arithmetic. Interval unions serialize as ordered lists of [lo, hi] string
-pairs. This is the one format shared by every module and the CLI.
+is 1, and ``format_rational`` is the one routine that prints them; floats
+are rejected on input so nothing inexact can leak into the arithmetic,
+and so are numbers too long to print again (``MAX_NUMERAL_DIGITS``).
+Interval unions serialize as ordered lists of [lo, hi] string pairs.
+This is the one format shared by every module and the CLI.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -22,11 +25,12 @@ from .construction import (
     DifferenceReport,
 )
 from .discrete import IntSet, check_race_targets
-from .intervals import IntervalUnion, _require_int
+from .intervals import IntervalUnion, Rational, _require_int
 from .realization import RealizationPlan, TauRaceReport
 
 __all__ = [
     "SchemaError",
+    "MAX_NUMERAL_DIGITS",
     "format_rational",
     "parse_rational",
     "union_to_obj",
@@ -54,27 +58,61 @@ def _schema_errors() -> Iterator[None]:
         raise SchemaError(str(exc)) from None
 
 
+MAX_NUMERAL_DIGITS = 1000
+"""Most decimal digits in a numeral read from a file, and in a sets file's common denominator.
+
+A problem file gets half as many, for theta's numerator and denominator
+in lowest terms and for each entry of ``m``. ``build`` multiplies theta
+into every endpoint it writes, and the other half leaves room for the
+construction's own grid: with theta at 500 digits over 500 digits, the
+n=4, H=8, |m| <= 50 problem of tests/test_golden.py writes numerators of
+506 digits, so every file ``build`` writes loads again. The longest
+number a subcommand then prints is a difference of two fold measures
+over unrelated denominators, of about 3 * 1000 digits at most, under the
+interpreter's default limit of 4300 digits on converting an int to text.
+Real files are far shorter: that problem, with its own theta of 5/113,
+writes numerals of at most 7 digits.
+"""
+
+_NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS
+_PROBLEM_LIMIT = 10 ** (MAX_NUMERAL_DIGITS // 2)
+
+
+def _bounded(value: int, what: str, limit: int = _NUMERAL_LIMIT) -> int:
+    """Return ``value`` if its magnitude is below ``limit``, else raise ``SchemaError``."""
+    if abs(value) >= limit:
+        raise SchemaError(f"{what} has more than {len(str(limit)) - 1} digits")
+    return value
+
+
 _RATIONAL = re.compile(r"^-?\d+(?:/[1-9][0-9]*)?$")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value: Rational, scale: int = 1) -> str:
+    """``value / scale`` in lowest terms, as "p/q" or as "p" when it is an integer.
+
+    ``value`` is an int or a ``Fraction`` and ``scale`` a positive int, so
+    a union's integer endpoints print without a ``Fraction`` being made.
+    """
+    num, den = value.numerator, value.denominator * scale
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def _parse_ratio(obj: Any) -> tuple[int, int]:
     """Numerator and positive denominator of a JSON int or a "p/q" string.
 
-    The pair is not reduced. A numeral over the interpreter's limit on
-    int-string digits is refused as a ``SchemaError``, like any malformed one.
+    The pair is not reduced. A numeral of more than ``MAX_NUMERAL_DIGITS``
+    digits is refused as a ``SchemaError``, like any malformed one.
     """
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj, 1
+        return _bounded(obj, "an integer"), 1
     if isinstance(obj, str) and _RATIONAL.match(obj):
         num, _, den = obj.partition("/")
-        try:
-            return int(num), int(den or 1)
-        except ValueError as exc:
-            raise SchemaError(f"rational too long: {exc}") from None
+        # checked on the text, before int() meets the interpreter's digit limit
+        if max(len(num.lstrip("-")), len(den)) > MAX_NUMERAL_DIGITS:
+            raise SchemaError(f"a rational has a numeral of more than {MAX_NUMERAL_DIGITS} digits")
+        return int(num), int(den or 1)
     raise SchemaError(f"expected a rational 'p/q' string, got {obj!r}")
 
 
@@ -82,21 +120,16 @@ def parse_rational(obj: Any) -> Fraction:
     return Fraction(*_parse_ratio(obj))
 
 
-def _format_ratio(num: int, den: int) -> str:
-    """``format_rational(Fraction(num, den))`` for den > 0, without the Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
 def union_to_obj(union: IntervalUnion) -> list[list[str]]:
     s = union.scale
-    return [[_format_ratio(lo, s), _format_ratio(hi, s)] for lo, hi in union.pairs]
+    return [[format_rational(lo, s), format_rational(hi, s)] for lo, hi in union.pairs]
 
 
 def union_from_obj(obj: Any) -> IntervalUnion:
     """Load a union from its [lo, hi] pairs, in any order, overlapping or not.
 
-    Endpoints are parsed to integers and put over one scale; pairs that
+    Endpoints are parsed to integers and put over one scale, which may
+    have at most ``MAX_NUMERAL_DIGITS`` digits; pairs that
     ``union_to_obj`` wrote are already sorted and apart, so they are not
     merged again.
     """
@@ -112,7 +145,9 @@ def union_from_obj(obj: Any) -> IntervalUnion:
             raise SchemaError(f"endpoints out of order: {lo} > {hi}")
         nums += (lo_num, hi_num)
         dens += (lo_den, hi_den)
-    scale = math.lcm(*dens)
+    scale = 1
+    for den in set(dens):  # stops at the bound, however many denominators follow
+        scale = _bounded(math.lcm(scale, den), "the common denominator of the endpoints")
     ends = [num * (scale // den) for num, den in zip(nums, dens)]
     pairs = list(zip(ends[::2], ends[1::2]))
     return IntervalUnion._from_pairs(scale, pairs)
@@ -153,7 +188,10 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
     if any(not isinstance(row, list) or len(row) != H for row in m):
         raise SchemaError(f"each m row must list H = {H} integers")
     with _schema_errors():
-        return DiffMatrix(tuple(tuple(row) for row in m)), theta
+        diffs = DiffMatrix(tuple(tuple(row) for row in m))
+    for value in (theta.numerator, theta.denominator, *chain.from_iterable(diffs.rows)):
+        _bounded(value, "a number in the problem file", _PROBLEM_LIMIT)
+    return diffs, theta
 
 
 def load_sets_file(path: str | Path) -> list[IntervalUnion]:
@@ -182,25 +220,7 @@ def load_race_targets(path: str | Path) -> list[tuple[int, ...]]:
         return check_race_targets(raw)
 
 
-def _difference_report_objs(report: DifferenceReport) -> tuple[list, list]:
-    checks = [
-        {
-            "pair": c.pair,
-            "h": c.h,
-            "computed": format_rational(c.computed),
-            "target": format_rational(c.target),
-            "pass": c.ok,
-        }
-        for c in report.checks
-    ]
-    telescoping = [
-        {"j": t.j, "k": t.k, "h": t.h, "pass": t.ok} for t in report.telescoping
-    ]
-    return checks, telescoping
-
-
 def build_output_obj(result: BuildResult, report: DifferenceReport) -> dict:
-    checks, telescoping = _difference_report_objs(report)
     params = result.params
     return {
         "params": {
@@ -212,8 +232,19 @@ def build_output_obj(result: BuildResult, report: DifferenceReport) -> dict:
         },
         "ell": [list(row) for row in result.carves.rows],
         "sets": [union_to_obj(s) for s in result.sets],
-        "report": checks,
-        "telescoping": telescoping,
+        "report": [
+            {
+                "pair": c.pair,
+                "h": c.h,
+                "computed": format_rational(c.computed),
+                "target": format_rational(c.target),
+                "pass": c.ok,
+            }
+            for c in report.checks
+        ],
+        "telescoping": [
+            {"j": t.j, "k": t.k, "h": t.h, "pass": t.ok} for t in report.telescoping
+        ],
         "all_pass": report.all_ok,
     }
 
@@ -223,26 +254,23 @@ def race_output_obj(
     plan: RealizationPlan,
     sets: Sequence[IntervalUnion],
     report: TauRaceReport,
-    targets: Sequence[tuple[int, ...]],
 ) -> dict:
-    rows = []
-    for check, target in zip(report.checks, targets):
-        rows.append(
-            {
-                "h": check.h,
-                "measures": [format_rational(v) for v in check.measures],
-                "measure_ranks": list(check.measure_ranks),
-                "cardinalities": list(check.cardinalities),
-                "cardinality_ranks": list(check.cardinality_ranks),
-                "target": list(target),
-                "pass": check.ok and check.cardinality_ranks == tuple(target),
-            }
-        )
     return {
         "witness": [list(b) for b in witness],
         "width": format_rational(plan.width),
         "H": plan.horizon,
         "sets": [union_to_obj(s) for s in sets],
-        "report": rows,
-        "all_pass": all(row["pass"] for row in rows),
+        "report": [
+            {
+                "h": c.h,
+                "measures": [format_rational(v) for v in c.measures],
+                "measure_ranks": list(c.measure_ranks),
+                "cardinalities": list(c.cardinalities),
+                "cardinality_ranks": list(c.cardinality_ranks),
+                "target": list(c.target),
+                "pass": c.ok,
+            }
+            for c in report.checks
+        ],
+        "all_pass": report.all_ok,
     }

@@ -2,16 +2,17 @@
 
 Rendering quantizes exact endpoints to pixels, so it is the one place
 floats appear; every rect carries a tooltip with the exact rational
-endpoints it depicts.
+endpoints it depicts. A pixel x comes from one correctly rounded int
+division of an endpoint by its union's scale, without a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from xml.sax.saxutils import escape, quoteattr
 
 from .intervals import IntervalUnion
+from .serialization import format_rational
 
 __all__ = ["PALETTE", "RenderRow", "RenderSpec", "layout", "render"]
 
@@ -26,6 +27,7 @@ PALETTE = (
     "#e377c2",
 )
 
+WIDTH = 960
 ROW_HEIGHT = 28
 TOP_PAD = 34
 BOTTOM_PAD = 14
@@ -52,7 +54,7 @@ class RenderSpec:
         return self.x_offset + self.x_scale * float(x)
 
 
-def layout(rows: list[RenderRow], width: int = 960) -> RenderSpec:
+def layout(rows: list[RenderRow]) -> RenderSpec:
     if not rows:
         raise ValueError("nothing to draw")
     labels = [row.label for row in rows]
@@ -66,11 +68,11 @@ def layout(rows: list[RenderRow], width: int = 960) -> RenderSpec:
         xmin, xmax = 0, 1
     if xmin == xmax:
         xmax = xmin + 1
-    x_scale = 0.90 * width / float(xmax - xmin)
-    x_offset = 0.05 * width - x_scale * float(xmin)
+    x_scale = 0.90 * WIDTH / float(xmax - xmin)
+    x_offset = 0.05 * WIDTH - x_scale * float(xmin)
     height = TOP_PAD + ROW_HEIGHT * len(rows) + BOTTOM_PAD
     return RenderSpec(
-        width=width, height=height, rows=tuple(rows), x_offset=x_offset, x_scale=x_scale
+        width=WIDTH, height=height, rows=tuple(rows), x_offset=x_offset, x_scale=x_scale
     )
 
 
@@ -98,11 +100,12 @@ def render(spec: RenderSpec, title: str = "interval sets") -> str:
             f'font-size="12" fill="#333">{escape(row.label)}</text>'
         )
         scale = row.union.scale
-        for lo_end, hi_end in row.union.pairs:
-            lo, hi = Fraction(lo_end, scale), Fraction(hi_end, scale)
-            lo_px = spec.to_px(lo)
-            hi_px = spec.to_px(hi)
-            tip = escape(f"{row.label}: [{lo}, {hi}]")
+        for lo, hi in row.union.pairs:
+            lo_px = spec.to_px(lo / scale)
+            hi_px = spec.to_px(hi / scale)
+            tip = escape(
+                f"{row.label}: [{format_rational(lo, scale)}, {format_rational(hi, scale)}]"
+            )
             if lo == hi:
                 out.append(
                     f'<circle cx="{lo_px:.2f}" cy="{y:.1f}" r="2.5" fill="{row.color}">'

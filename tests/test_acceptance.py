@@ -152,7 +152,7 @@ def test_criterion_06_race_subcommand(tmp_path):
     ok = ok and len(witness) == 2
     if ok:
         sets, _ = realize(witness, 2)
-        report = verify_tau_race(sets, witness, 2)
+        report = verify_tau_race(sets, witness, [(1, 2), (2, 1)])
         ok = report.all_ok
         ok = ok and report.checks[0].cardinality_ranks == (1, 2)
         ok = ok and report.checks[1].cardinality_ranks == (2, 1)

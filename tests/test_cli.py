@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumset_races import cli
+from sumset_races import cli, verify_tau_race
 from sumset_races.cli import main
+from sumset_races.serialization import MAX_NUMERAL_DIGITS
 
 PROBLEM = {"n": 2, "H": 2, "theta": "1", "m": [[1, 0]]}
 TARGETS = {"targets": [[1, 2], [2, 1]]}
@@ -142,6 +144,17 @@ class TestRace:
         assert [row["target"] for row in data["report"]] == [[1, 2], [2, 1]]
         assert len(data["witness"]) == 2
 
+    def test_reported_miss_exits_3(self, tmp_path, monkeypatch, capsys):
+        def reversed_targets(sets, base_sets, targets):
+            return verify_tau_race(sets, base_sets, [t[::-1] for t in targets])
+
+        monkeypatch.setattr(cli, "verify_tau_race", reversed_targets)
+        targets = write(tmp_path / "t.json", TARGETS)
+        output = tmp_path / "race.json"
+        assert main(["race", targets, str(output)]) == 3
+        assert "failed verification" in capsys.readouterr().err
+        assert json.loads(output.read_text())["all_pass"] is False
+
     def test_exhaustion_exits_4(self, tmp_path, capsys):
         targets = write(tmp_path / "t.json", TARGETS)
         output = str(tmp_path / "race.json")
@@ -204,8 +217,18 @@ class TestOracle:
         assert main(["oracle", output, "--grid-step", "0.5"]) == 2
 
 
+def primes_above(lo, count):
+    found = []
+    n = lo
+    while len(found) < count:
+        n += 1
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+    return found
+
+
 class TestOversizedNumerals:
-    """Numerals longer than the int-string digit limit are schema errors, exit 2."""
+    """Numbers too long to print are refused where they are read: schema errors, exit 2."""
 
     DIGITS = "1" * 5000
 
@@ -231,6 +254,41 @@ class TestOversizedNumerals:
         _, output = built
         assert main(["oracle", output, "--grid-step", "1/" + self.DIGITS]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    def test_build_with_long_theta(self, tmp_path, capsys):
+        problem = write(tmp_path / "p.json", {**PROBLEM, "theta": "9" * 4299, "m": [[50, -50]]})
+        assert main(["build", problem, str(tmp_path / "o.json")]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "numbers",
+        [{"theta": "9" * 4299, "m": [[50, -50]]}, {"theta": "999", "m": [[int("9" * 4299), 0]]}],
+        ids=["theta", "m"],
+    )
+    def test_verify_against_long_problem_numbers(self, built, tmp_path, capsys, numbers):
+        # verify prints theta * m, so both are bounded
+        _, sets = built
+        problem = write(tmp_path / "p.json", {**PROBLEM, **numbers})
+        assert main(["verify", sets, problem]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_long_common_denominator(self, tmp_path, capsys):
+        # each endpoint is short, but together they need a denominator of thousands of digits
+        primes = primes_above(1000, 2000)
+        union = [[f"{2 * i * p + 1}/{p}", str(2 * i + 1)] for i, p in enumerate(primes)]
+        sets = write(tmp_path / "s.json", {"sets": [union]})
+        assert main(["oracle", sets]) == 2
+        assert "common denominator" in capsys.readouterr().err
+
+    def test_theta_at_the_bound_builds_and_verifies(self, tmp_path):
+        half = MAX_NUMERAL_DIGITS // 2  # theta's numerator and denominator, in lowest terms
+        theta = "9" * half + "/1" + "0" * (half - 1)
+        problem = write(tmp_path / "p.json", {**PROBLEM, "theta": theta, "m": [[50, -50]]})
+        output = str(tmp_path / "o.json")
+        assert main(["build", problem, output]) == 0
+        assert main(["verify", output, problem]) == 0
+        over = write(tmp_path / "q.json", {**PROBLEM, "theta": "9" + theta})
+        assert main(["build", over, output]) == 2
 
     def test_sets_file_endpoint(self, built, tmp_path, capsys):
         problem, _ = built

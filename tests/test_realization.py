@@ -14,6 +14,7 @@ from sumset_races import (
     realize,
     verify_tau_race,
 )
+from sumset_races.serialization import race_output_obj
 
 int_sets = st.sets(st.integers(0, 12), min_size=1, max_size=5)
 
@@ -82,48 +83,74 @@ class TestRealize:
                 assert all(p.length == h * plan.width for p in folded.parts)
 
 
+LEAD_FLIP = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
+
+
 class TestVerifyTauRace:
     def test_lead_flip_witness(self):
-        bases = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
-        sets, _ = realize(bases, 2)
-        report = verify_tau_race(sets, bases, 2)
+        sets, _ = realize(LEAD_FLIP, 2)
+        report = verify_tau_race(sets, LEAD_FLIP, [[1, 2], [2, 1]])
         assert report.all_ok
-        assert report.checks[0].cardinality_ranks == (1, 2)
-        assert report.checks[1].cardinality_ranks == (2, 1)
+        assert report.checks[0].cardinality_ranks == report.checks[0].target == (1, 2)
+        assert report.checks[1].cardinality_ranks == report.checks[1].target == (2, 1)
+
+    def test_reversed_targets_fail(self):
+        # measures and sizes still rank alike; neither ranks as targeted
+        sets, _ = realize(LEAD_FLIP, 2)
+        report = verify_tau_race(sets, LEAD_FLIP, [[2, 1], [1, 2]])
+        assert not report.all_ok
+        assert not any(c.ok for c in report.checks)
+        assert all(c.measure_ranks == c.cardinality_ranks for c in report.checks)
 
     def test_report_carries_both_routes(self):
         bases = [(0, 2), (0, 1, 2)]
         sets, _ = realize(bases, 2)
-        report = verify_tau_race(sets, bases, 2)
+        report = verify_tau_race(sets, bases, [[1, 2], [1, 2]])
         check = report.checks[1]
         assert check.h == 2
         assert check.cardinalities == (3, 5)
         assert check.measures == (2, F(10, 3))
-        assert check.measure_ranks == check.cardinality_ranks == (1, 2)
+        assert check.measure_ranks == check.cardinality_ranks == check.target == (1, 2)
 
     def test_mismatched_sets_fail_the_race(self):
         # realized from one family, compared against another
         sets, _ = realize([(0, 1, 2), (0, 1, 2)], 2)
-        report = verify_tau_race(sets, [(0, 1, 2), (0, 1, 5)], 2)
+        report = verify_tau_race(sets, [(0, 1, 2), (0, 1, 5)], [[1, 1], [1, 2]])
         assert not report.all_ok
         assert report.checks[0].ok
         assert not report.checks[1].ok
 
-    def test_rejects_length_mismatch(self):
-        sets, _ = realize([(0, 1)], 2)
-        with pytest.raises(ValueError):
-            verify_tau_race(sets, [(0, 1), (0, 2)], 2)
+    def test_race_output_flags_missed_targets(self):
+        bases = [(0, 1), (0, 2)]
+        sets, plan = realize(bases, 2)
+        report = verify_tau_race(sets, bases, [(1, 2), (1, 2)])
+        obj = race_output_obj(bases, plan, sets, report)
+        assert obj["all_pass"] is False
+        assert [row["pass"] for row in obj["report"]] == [False, False]
 
-    @pytest.mark.parametrize("horizon", [0, -1, True])
-    def test_rejects_horizon_without_folds(self, horizon):
+    def test_rejects_length_mismatch(self):
         sets, _ = realize([(0, 1), (0, 2)], 2)
-        with pytest.raises((TypeError, ValueError)):
-            verify_tau_race(sets, [(0, 1), (0, 2)], horizon)
+        with pytest.raises(ValueError):
+            verify_tau_race(sets, [(0, 1)], [[1, 2]])
+
+    @pytest.mark.parametrize(
+        "targets",
+        [[], [[1, 2], [1]], [[1, 3]], [[2, 2]], [[1, 2, 3]], [[1], [1]]],
+        ids=["empty", "ragged", "rank-skipped", "rank-1-missing", "three-ranks", "one-set"],
+    )
+    def test_rejects_bad_targets(self, targets):
+        # a report with no folds, or with ranks for other sets, would mean nothing
+        sets, _ = realize([(0, 1), (0, 2)], 2)
+        with pytest.raises(ValueError):
+            verify_tau_race(sets, [(0, 1), (0, 2)], targets)
 
     @given(st.lists(int_sets, min_size=2, max_size=4), st.integers(1, 4))
     def test_prop_realization_always_passes_its_own_race(self, bases, horizon):
         sets, _ = realize(bases, horizon)
-        report = verify_tau_race(sets, bases, horizon)
+        targets = [
+            dense_rank([len(hfold_ints(b, h)) for b in bases]) for h in range(1, horizon + 1)
+        ]
+        report = verify_tau_race(sets, bases, targets)
         assert report.all_ok
         for check in report.checks:
             assert check.measure_ranks == dense_rank(check.measures)
