@@ -24,8 +24,8 @@ print()
 
 # Realization: each integer b becomes the block [b, b + 1/4] (width is
 # 1/(horizon+1)), so blocks inside any fold up to 3 never merge.
-sets, plan = realize(witness, horizon=len(targets))
-print("block width:", plan.width)
+sets, width = realize(witness, horizon=len(targets))
+print("block width:", width)
 for i, s in enumerate(sets, start=1):
     print(f"A{i} = {s}")
 print()

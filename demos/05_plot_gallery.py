@@ -8,14 +8,14 @@ rational endpoints.
 from pathlib import Path
 
 from sumset_races import DiffMatrix, build_sets, realize, search_race_sets
-from sumset_races.svg import PALETTE, RenderRow, layout, render
+from sumset_races.svg import PALETTE, RenderRow, render
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 
 def chart(path, rows, title):
-    doc = render(layout(rows), title=title)
+    doc = render(rows, title=title)
     path.write_text(doc + "\n")
     print("wrote", path)
 
@@ -33,10 +33,10 @@ chart(out_dir / "prescribed_pair.svg", rows, "a built pair and its two-fold sums
 # Chart two: the realized lead-flip race. At fold one the dense set
 # covers more; at fold two the sparse one overtakes.
 witness = search_race_sets([(1, 2), (2, 1)], ground=12, maxsize=5)
-sets, plan = realize(witness, 2)
+sets, width = realize(witness, 2)
 rows = []
 for i, (b, s) in enumerate(zip(witness, sets), start=1):
     color = PALETTE[(i + 1) % len(PALETTE)]
     rows.append(RenderRow(label=f"B{i}={set(b)}", union=s, color=color))
     rows.append(RenderRow(label=f"2B{i}", union=s.hfold(2), color=color))
-chart(out_dir / "lead_flip.svg", rows, f"lead flip, block width {plan.width}")
+chart(out_dir / "lead_flip.svg", rows, f"lead flip, block width {width}")

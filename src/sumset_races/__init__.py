@@ -50,7 +50,6 @@ from .intervals import (
     grid_measure_oracle,
 )
 from .realization import (
-    RealizationPlan,
     TauRaceReport,
     realize,
     verify_tau_race,
@@ -88,7 +87,6 @@ __all__ = [
     "BuildResult",
     "DifferenceReport",
     "verify_differences",
-    "RealizationPlan",
     "TauRaceReport",
     "realize",
     "verify_tau_race",

@@ -18,7 +18,7 @@ from .construction import BuildBudgetError, build_sets, verify_differences
 from .discrete import check_race_bounds, search_race_sets
 from .intervals import grid_measure_oracle
 from .realization import realize, verify_tau_race
-from .svg import PALETTE, RenderRow, layout, render
+from .svg import PALETTE, RenderRow, UndrawableError, render
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -79,14 +79,14 @@ def _cmd_race(args: argparse.Namespace) -> int:
             f"and at most {args.maxsize} elements per set"
         )
         return EXIT_EXHAUSTED
-    sets, plan = realize(witness, len(targets))
+    sets, width = realize(witness, len(targets))
     report = verify_tau_race(sets, witness, targets)
-    ser.write_json(args.output, ser.race_output_obj(witness, plan, sets, report))
+    ser.write_json(args.output, ser.race_output_obj(witness, width, sets, report))
     if not report.all_ok:
         print("realized witness failed verification", file=sys.stderr)
         return EXIT_VERIFY
     pretty = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in witness)
-    print(f"witness found: {pretty}; realized with block width {ser.format_rational(plan.width)}")
+    print(f"witness found: {pretty}; realized with block width {ser.format_rational(width)}")
     return EXIT_OK
 
 
@@ -100,8 +100,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         for h, fold in enumerate(s.folds(args.hmax), start=1):
             label = f"A{i}" if h == 1 else f"{h}A{i}"
             rows.append(RenderRow(label=label, union=fold, color=color))
-    spec = layout(rows)
-    doc = render(spec, title=f"{len(sets)} sets, folds up to {args.hmax}")
+    try:
+        doc = render(rows, title=f"{len(sets)} sets, folds up to {args.hmax}")
+    except UndrawableError as exc:
+        raise ser.SchemaError(str(exc)) from None
     with open(args.svg, "w") as fh:
         fh.write(doc + "\n")
     print(f"wrote {args.svg} ({len(rows)} rows)")

@@ -18,6 +18,23 @@ Far above the spaces the benchmark catalogue and the CLI defaults use
 (6885 candidates at ground 16, maxsize 6; 794 at ground 12, maxsize 5).
 """
 
+MAX_RACE_SETS = 64
+"""Most sets one race may rank.
+
+The search recurses one level per set and its pairwise sign table holds
+about n**2 * H / 2 entries, so the limit keeps the depth far below the
+interpreter's recursion limit of 1000 (1000 tied sets overflowed it) and
+is about 20 times the widest catalogue shape (3 sets).
+"""
+
+MAX_RACE_FOLDS = 64
+"""Most folds one race may prescribe.
+
+Every candidate is folded once per fold, and so is every realized set, so
+the cost of a search and its check grows with this; it is 16 times the
+deepest catalogue shape (4 folds).
+"""
+
 __all__ = [
     "IntSet",
     "as_int_set",
@@ -27,6 +44,8 @@ __all__ = [
     "check_race_targets",
     "check_race_bounds",
     "MAX_RACE_CANDIDATES",
+    "MAX_RACE_SETS",
+    "MAX_RACE_FOLDS",
     "search_race_sets",
 ]
 
@@ -72,17 +91,22 @@ def is_rank_tuple(values: Sequence[int]) -> bool:
 def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
 
+    At most ``MAX_RACE_FOLDS`` tuples of at most ``MAX_RACE_SETS`` ranks.
     Returns the targets as a list of tuples; raises ``ValueError`` otherwise.
     """
     goal = [tuple(t) for t in targets]
     if not goal:
         raise ValueError("at least one rank tuple is required")
+    if len(goal) > MAX_RACE_FOLDS:
+        raise ValueError(f"{len(goal)} rank tuples, more than the limit of {MAX_RACE_FOLDS} folds")
     for t in goal:
         if not is_rank_tuple(t):
             raise ValueError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
     n = len(goal[0])
     if n < 2:
         raise ValueError("a race needs at least two sets")
+    if n > MAX_RACE_SETS:
+        raise ValueError(f"rank tuples of length {n}, more than the limit of {MAX_RACE_SETS} sets")
     if any(len(t) != n for t in goal):
         raise ValueError("rank tuples must all have the same length")
     return goal

@@ -5,6 +5,7 @@ small enough that blocks in every h-fold sumset up to the horizon stay
 pairwise disjoint. The h-fold measure is then |hB| times h*width, so the
 rank pattern of the measures matches the rank pattern of the sumset
 sizes: whatever order race the integers run, the interval sets run too.
+``realize`` returns the interval sets and the block width, and
 ``verify_tau_race`` checks both patterns against the targeted ones.
 """
 
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .discrete import IntSet, as_int_set, check_race_targets, dense_rank, hfold_ints
-from .intervals import Interval, IntervalUnion, _require_int, as_fraction
+from .discrete import as_int_set, check_race_targets, dense_rank, hfold_ints
+from .intervals import IntervalUnion, _require_int
 
 __all__ = [
-    "RealizationPlan",
     "realize",
     "TauRaceCheck",
     "TauRaceReport",
@@ -26,54 +26,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealizationPlan:
-    """Block width, fold horizon, and the integer sets that were realized.
-
-    The width is an exact rational in (0, 1/(horizon+1)]; ``base_sets`` is
-    a nonempty tuple of nonempty, sorted, duplicate-free int tuples.
-    """
-
-    width: Fraction
-    horizon: int
-    base_sets: tuple[IntSet, ...]
-
-    def __post_init__(self) -> None:
-        _require_int(self.horizon, "horizon", lo=1)
-        width = as_fraction(self.width)
-        if not 0 < width <= Fraction(1, self.horizon + 1):
-            raise ValueError("width must lie in (0, 1/(horizon+1)]")
-        object.__setattr__(self, "width", width)
-        normalized = tuple(as_int_set(b) for b in self.base_sets)
-        if not normalized or not all(normalized):
-            raise ValueError("need at least one base set, and every base set must be nonempty")
-        if normalized != self.base_sets:
-            raise ValueError("base sets must be tuples of sorted, distinct integers")
-
-
 def realize(
     base_sets: Sequence[Sequence[int]], horizon: int
-) -> tuple[tuple[IntervalUnion, ...], RealizationPlan]:
-    """Blow each integer up to a block of width 1/(horizon+1).
+) -> tuple[tuple[IntervalUnion, ...], Fraction]:
+    """Blow each integer up to a block of width 1/(horizon+1); return the sets and width.
 
     Distinct integers in an h-fold sumset are at least 1 apart while the
     blocks have width h/(horizon+1) < 1 for h <= horizon, so the blocks
     never meet and each fold's measure is exactly |hB| * h * width. The
-    plan checks the horizon and the base sets; the input sets may come in
-    any order and with repeats.
+    horizon is an int >= 1 and at least one base set, none empty, is
+    needed; a set may list its elements in any order and with repeats.
     """
-    # max() keeps the width defined for any int, so a horizon below 1
-    # reaches the plan's check instead of dividing by zero here.
-    plan = RealizationPlan(
-        width=Fraction(1, max(horizon, 0) + 1),
-        horizon=horizon,
-        base_sets=tuple(as_int_set(b) for b in base_sets),
-    )
-    sets = tuple(
-        IntervalUnion(Interval(Fraction(b), b + plan.width) for b in base)
-        for base in plan.base_sets
-    )
-    return sets, plan
+    _require_int(horizon, "horizon", lo=1)
+    bases = [as_int_set(b) for b in base_sets]
+    if not bases or not all(bases):
+        raise ValueError("need at least one base set, and every base set must be nonempty")
+    width = Fraction(1, horizon + 1)
+    return tuple(IntervalUnion((b, b + width) for b in base) for base in bases), width
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .construction import (
 )
 from .discrete import IntSet, check_race_targets
 from .intervals import IntervalUnion, Rational, _require_int
-from .realization import RealizationPlan, TauRaceReport
+from .realization import TauRaceReport
 
 __all__ = [
     "SchemaError",
@@ -251,14 +251,14 @@ def build_output_obj(result: BuildResult, report: DifferenceReport) -> dict:
 
 def race_output_obj(
     witness: Sequence[IntSet],
-    plan: RealizationPlan,
+    width: Fraction,
     sets: Sequence[IntervalUnion],
     report: TauRaceReport,
 ) -> dict:
     return {
         "witness": [list(b) for b in witness],
-        "width": format_rational(plan.width),
-        "H": plan.horizon,
+        "width": format_rational(width),
+        "H": len(report.checks),
         "sets": [union_to_obj(s) for s in sets],
         "report": [
             {

@@ -4,17 +4,19 @@ Rendering quantizes exact endpoints to pixels, so it is the one place
 floats appear; every rect carries a tooltip with the exact rational
 endpoints it depicts. A pixel x comes from one correctly rounded int
 division of an endpoint by its union's scale, without a ``Fraction``.
+``render`` draws a list of rows with the x -> pixel map ``layout`` gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .intervals import IntervalUnion
 from .serialization import format_rational
 
-__all__ = ["PALETTE", "RenderRow", "RenderSpec", "layout", "render"]
+__all__ = ["PALETTE", "RenderRow", "UndrawableError", "layout", "render"]
 
 PALETTE = (
     "#1f77b4",
@@ -40,55 +42,55 @@ class RenderRow:
     color: str
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Rows plus the affine x -> pixel map; the widest row spans 90% of the canvas."""
-
-    width: int
-    height: int
-    rows: tuple[RenderRow, ...]
-    x_offset: float
-    x_scale: float
-
-    def to_px(self, x) -> float:
-        return self.x_offset + self.x_scale * float(x)
+class UndrawableError(ValueError):
+    """An endpoint lies beyond the float range, or the chart is narrower than floats resolve."""
 
 
-def layout(rows: list[RenderRow]) -> RenderSpec:
+def layout(rows: list[RenderRow]) -> tuple[float, float]:
+    """The map x -> x_offset + x_scale * x that spans the widest row over 90% of the canvas.
+
+    Rows the map cannot place at finite pixels raise ``UndrawableError``.
+    """
     if not rows:
         raise ValueError("nothing to draw")
     labels = [row.label for row in rows]
     if len(set(labels)) != len(labels):
         raise ValueError("row labels must be unique")
-    spans = [row.union.bounds() for row in rows if not row.union.is_empty]
+    spans = {row.label: row.union.bounds() for row in rows if not row.union.is_empty}
     if spans:
-        xmin = min(lo for lo, _ in spans)
-        xmax = max(hi for _, hi in spans)
+        xmin = min(lo for lo, _ in spans.values())
+        xmax = max(hi for _, hi in spans.values())
     else:
         xmin, xmax = 0, 1
     if xmin == xmax:
         xmax = xmin + 1
-    x_scale = 0.90 * WIDTH / float(xmax - xmin)
-    x_offset = 0.05 * WIDTH - x_scale * float(xmin)
+    try:
+        x_scale = 0.90 * WIDTH / float(xmax - xmin)
+        x_offset = 0.05 * WIDTH - x_scale * float(xmin)
+        drawable = math.isfinite(x_offset + x_scale * float(xmax))  # then so is every pixel
+    except (OverflowError, ZeroDivisionError):
+        drawable = False
+    if not drawable:
+        far = max(spans, key=lambda label: max(map(abs, spans[label])))
+        raise UndrawableError(f"row {far!r} lies beyond the range or resolution of float pixels")
+    return x_offset, x_scale
+
+
+def render(rows: list[RenderRow], title: str = "interval sets") -> str:
+    x_offset, x_scale = layout(rows)
     height = TOP_PAD + ROW_HEIGHT * len(rows) + BOTTOM_PAD
-    return RenderSpec(
-        width=WIDTH, height=height, rows=tuple(rows), x_offset=x_offset, x_scale=x_scale
-    )
-
-
-def render(spec: RenderSpec, title: str = "interval sets") -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
+        f'width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
         f'<title>{escape(title)}</title>',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
-        f'<text x="{spec.width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" fill="#333">{escape(title)}</text>',
     ]
-    track_lo = 0.05 * spec.width
-    track_hi = 0.95 * spec.width
-    for idx, row in enumerate(spec.rows):
+    track_lo = 0.05 * WIDTH
+    track_hi = 0.95 * WIDTH
+    for idx, row in enumerate(rows):
         y = TOP_PAD + ROW_HEIGHT * idx + ROW_HEIGHT / 2
         out.append(f'<g class="row" data-label={quoteattr(row.label)}>')
         out.append(
@@ -101,8 +103,8 @@ def render(spec: RenderSpec, title: str = "interval sets") -> str:
         )
         scale = row.union.scale
         for lo, hi in row.union.pairs:
-            lo_px = spec.to_px(lo / scale)
-            hi_px = spec.to_px(hi / scale)
+            lo_px = x_offset + x_scale * (lo / scale)
+            hi_px = x_offset + x_scale * (hi / scale)
             tip = escape(
                 f"{row.label}: [{format_rational(lo, scale)}, {format_rational(hi, scale)}]"
             )

@@ -34,7 +34,6 @@ def test_public_names_are_pinned():
         "BuildResult",
         "DifferenceReport",
         "verify_differences",
-        "RealizationPlan",
         "TauRaceReport",
         "realize",
         "verify_tau_race",

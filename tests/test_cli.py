@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sumset_races import cli, verify_tau_race
 from sumset_races.cli import main
+from sumset_races.discrete import MAX_RACE_FOLDS, MAX_RACE_SETS
 from sumset_races.serialization import MAX_NUMERAL_DIGITS
 
 PROBLEM = {"n": 2, "H": 2, "theta": "1", "m": [[1, 0]]}
@@ -37,7 +38,7 @@ def built(tmp_path):
 class TestBuild:
     def test_writes_passing_report(self, built):
         _, output = built
-        data = json.loads(open(output).read())
+        data = json.loads(Path(output).read_text())
         assert data["all_pass"] is True
         assert len(data["sets"]) == 2
 
@@ -48,7 +49,7 @@ class TestBuild:
         )
         output = str(tmp_path / "o.json")
         assert main(["build", problem, output]) == 0
-        assert json.loads(open(output).read())["all_pass"] is True
+        assert json.loads(Path(output).read_text())["all_pass"] is True
 
     @pytest.mark.parametrize(
         "obj",
@@ -110,7 +111,7 @@ class TestVerify:
 
     def test_tampered_sets_exit_3(self, built, tmp_path, capsys):
         problem, output = built
-        data = json.loads(open(output).read())
+        data = json.loads(Path(output).read_text())
         first = data["sets"][0]
         first[-1][1] = "9999"  # stretch the last part
         tampered = write(tmp_path / "tampered.json", data)
@@ -119,7 +120,7 @@ class TestVerify:
 
     def test_wrong_set_count_exits_2(self, built, tmp_path):
         problem, output = built
-        data = json.loads(open(output).read())
+        data = json.loads(Path(output).read_text())
         data["sets"].append(data["sets"][0])
         assert main(["verify", write(tmp_path / "extra.json", data), problem]) == 2
 
@@ -139,7 +140,7 @@ class TestRace:
         output = str(tmp_path / "race.json")
         assert main(["race", targets, output, "--ground", "12", "--maxsize", "5"]) == 0
         assert "witness found" in capsys.readouterr().out
-        data = json.loads(open(output).read())
+        data = json.loads(Path(output).read_text())
         assert data["all_pass"] is True
         assert [row["target"] for row in data["report"]] == [[1, 2], [2, 1]]
         assert len(data["witness"]) == 2
@@ -179,6 +180,30 @@ class TestRace:
         targets = write(tmp_path / "t.json", {"targets": [[1, 3]]})
         assert main(["race", targets, str(tmp_path / "o.json")]) == 2
 
+    def test_too_many_sets_exit_2(self, tmp_path, capsys):
+        # one recursion level per set: 1000 tied sets would overflow the stack
+        targets = write(tmp_path / "t.json", {"targets": [[1] * 1000]})
+        output = tmp_path / "o.json"
+        assert main(["race", targets, str(output), "--ground", "3", "--maxsize", "2"]) == 2
+        assert "more than the limit" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_tied_sets_at_the_bound_reach_a_verdict(self, tmp_path):
+        output = str(tmp_path / "o.json")
+        at = write(tmp_path / "t.json", {"targets": [[1] * MAX_RACE_SETS]})
+        assert main(["race", at, output, "--ground", "3", "--maxsize", "2"]) == 0
+        assert len(json.loads(Path(output).read_text())["witness"]) == MAX_RACE_SETS
+        over = write(tmp_path / "u.json", {"targets": [[1] * (MAX_RACE_SETS + 1)]})
+        assert main(["race", over, output, "--ground", "3", "--maxsize", "2"]) == 2
+
+    def test_folds_at_the_bound_reach_a_verdict(self, tmp_path):
+        output = str(tmp_path / "o.json")
+        at = write(tmp_path / "t.json", {"targets": [[1, 2]] * MAX_RACE_FOLDS})
+        assert main(["race", at, output, "--ground", "3", "--maxsize", "2"]) == 0
+        assert json.loads(Path(output).read_text())["H"] == MAX_RACE_FOLDS
+        over = write(tmp_path / "u.json", {"targets": [[1, 2]] * (MAX_RACE_FOLDS + 1)})
+        assert main(["race", over, output, "--ground", "3", "--maxsize", "2"]) == 2
+
 
 class TestPlot:
     def test_renders_rows_per_set_and_fold(self, built, tmp_path):
@@ -197,6 +222,31 @@ class TestPlot:
     def test_bad_hmax_exits_2(self, built, tmp_path):
         _, output = built
         assert main(["plot", output, str(tmp_path / "x.svg"), "--hmax", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "sets, row",
+        [
+            ([[["0", "1"]], [["0", "1" + "0" * 999]]], "3A2"),  # an endpoint beyond the float range
+            ([[["0", "1/1" + "0" * 400]]], "3A1"),  # a span that converts to 0.0
+        ],
+        ids=["overflow", "zero-span"],
+    )
+    def test_undrawable_sets_exit_2(self, tmp_path, capsys, sets, row):
+        path = write(tmp_path / "s.json", {"sets": sets})
+        svg_path = tmp_path / "chart.svg"
+        assert main(["oracle", path]) == 0  # the sets load and measure
+        assert main(["plot", path, str(svg_path), "--hmax", "3"]) == 2
+        assert f"schema error: row '{row}' lies beyond" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    def test_internal_fault_in_render_is_not_a_schema_error(self, built, tmp_path, monkeypatch):
+        def broken(rows, title):
+            raise ValueError("fault inside the renderer")
+
+        monkeypatch.setattr(cli, "render", broken)
+        _, output = built
+        with pytest.raises(ValueError, match="fault inside the renderer"):
+            main(["plot", output, str(tmp_path / "x.svg")])
 
 
 class TestOracle:

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
-from sumset_races.discrete import MAX_RACE_CANDIDATES, _fold_sizes, check_race_bounds
+from sumset_races.discrete import (
+    MAX_RACE_CANDIDATES,
+    MAX_RACE_FOLDS,
+    MAX_RACE_SETS,
+    _fold_sizes,
+    check_race_bounds,
+)
 
 from conftest import reference_search_race_sets
 
@@ -152,6 +158,10 @@ class TestSearch:
             search_race_sets([(1, 2), (1, 2, 3)], 4, 2)  # ragged
         with pytest.raises(ValueError):
             search_race_sets([], 4, 2)
+        with pytest.raises(ValueError, match="limit of 64 sets"):
+            search_race_sets([(1,) * (MAX_RACE_SETS + 1)], 4, 2)
+        with pytest.raises(ValueError, match="limit of 64 folds"):
+            search_race_sets([(1, 2)] * (MAX_RACE_FOLDS + 1), 4, 2)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sumset_races import (
     IntervalUnion,
-    RealizationPlan,
     dense_rank,
     hfold_ints,
     realize,
@@ -21,9 +20,8 @@ int_sets = st.sets(st.integers(0, 12), min_size=1, max_size=5)
 
 class TestRealize:
     def test_reference_blocks(self):
-        sets, plan = realize([(0, 1, 5, 12), (0, 1, 2, 3, 4)], 2)
-        assert plan.width == F(1, 3)
-        assert plan.base_sets == ((0, 1, 5, 12), (0, 1, 2, 3, 4))
+        sets, width = realize([(0, 1, 5, 12), (0, 1, 2, 3, 4)], 2)
+        assert width == F(1, 3)
         assert sets[0] == IntervalUnion(
             [(0, F(1, 3)), (1, F(4, 3)), (5, F(16, 3)), (12, F(37, 3))]
         )
@@ -33,54 +31,39 @@ class TestRealize:
 
     def test_adjacent_integers_stay_separated_at_top_fold(self):
         # h*width = 3/4 < 1, so even consecutive integers give disjoint blocks
-        (only,), plan = realize([(0, 1)], 3)
+        (only,), width = realize([(0, 1)], 3)
         folded = only.hfold(3)
-        assert plan.width == F(1, 4)
+        assert width == F(1, 4)
         assert folded == IntervalUnion([(b, b + F(3, 4)) for b in (0, 1, 2, 3)])
 
     def test_input_order_and_duplicates_are_normalized(self):
-        sets, plan = realize([[5, 0, 5, 1]], 2)
-        assert plan.base_sets == ((0, 1, 5),)
-        assert len(sets[0].parts) == 3
+        sets, width = realize([[5, 0, 5, 1]], 2)
+        assert sets == (IntervalUnion([(b, b + width) for b in (0, 1, 5)]),)
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1, got 0"):
             realize([(0, 1)], 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1, got -1"):
             realize([(0, 1)], -1)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="horizon must be an integer, got True"):
             realize([(0, 1)], True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one base set"):
             realize([], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every base set must be nonempty"):
             realize([(0, 1), ()], 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="set element must be an integer"):
             realize([(0, F(1, 2))], 2)
-
-    def test_plan_validates_directly(self):
-        with pytest.raises(ValueError):
-            RealizationPlan(width=F(1, 2), horizon=2, base_sets=((0, 1),))
-        with pytest.raises(ValueError):
-            RealizationPlan(width=F(0), horizon=2, base_sets=((0, 1),))
-        with pytest.raises(ValueError):
-            RealizationPlan(width=F(1, 3), horizon=2, base_sets=())
-        with pytest.raises(TypeError):
-            RealizationPlan(width=F(1, 3), horizon=True, base_sets=((0, 1),))
-        with pytest.raises(TypeError):
-            RealizationPlan(width=0.25, horizon=2, base_sets=((0, 1),))
-        with pytest.raises(ValueError):
-            RealizationPlan(width=F(1, 3), horizon=2, base_sets=((1, 0, 0),))
 
     @given(st.lists(int_sets, min_size=1, max_size=3), st.integers(1, 4))
     def test_prop_fold_measure_is_card_times_block(self, bases, horizon):
-        sets, plan = realize(bases, horizon)
-        for base, realized in zip(plan.base_sets, sets):
+        sets, width = realize(bases, horizon)
+        for base, realized in zip(bases, sets):
             for h in range(1, horizon + 1):
                 folded = realized.hfold(h)
                 card = len(hfold_ints(base, h))
                 assert len(folded.parts) == card
-                assert folded.measure() == card * h * plan.width
-                assert all(p.length == h * plan.width for p in folded.parts)
+                assert folded.measure() == card * h * width
+                assert all(p.length == h * width for p in folded.parts)
 
 
 LEAD_FLIP = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
@@ -122,9 +105,9 @@ class TestVerifyTauRace:
 
     def test_race_output_flags_missed_targets(self):
         bases = [(0, 1), (0, 2)]
-        sets, plan = realize(bases, 2)
+        sets, width = realize(bases, 2)
         report = verify_tau_race(sets, bases, [(1, 2), (1, 2)])
-        obj = race_output_obj(bases, plan, sets, report)
+        obj = race_output_obj(bases, width, sets, report)
         assert obj["all_pass"] is False
         assert [row["pass"] for row in obj["report"]] == [False, False]
 
@@ -135,8 +118,11 @@ class TestVerifyTauRace:
 
     @pytest.mark.parametrize(
         "targets",
-        [[], [[1, 2], [1]], [[1, 3]], [[2, 2]], [[1, 2, 3]], [[1], [1]]],
-        ids=["empty", "ragged", "rank-skipped", "rank-1-missing", "three-ranks", "one-set"],
+        [[], [[1, 2], [1]], [[1, 3]], [[2, 2]], [[1, 2, 3]], [[1], [1]], [[1, 2]] * 65],
+        ids=[
+            "empty", "ragged", "rank-skipped", "rank-1-missing", "three-ranks", "one-set",
+            "too-many-folds",
+        ],
     )
     def test_rejects_bad_targets(self, targets):
         # a report with no folds, or with ranks for other sets, would mean nothing

@@ -242,12 +242,13 @@ class TestOutputObjects:
 
     def test_race_output_shape(self):
         bases = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
-        sets, plan = realize(bases, 2)
+        sets, width = realize(bases, 2)
         report = verify_tau_race(sets, bases, [(1, 2), (2, 1)])
-        obj = race_output_obj(bases, plan, sets, report)
+        obj = race_output_obj(bases, width, sets, report)
         assert obj["all_pass"] is True
         assert obj["witness"] == [[0, 1, 5, 12], [0, 1, 2, 3, 4]]
         assert obj["width"] == "1/3"
+        assert obj["H"] == len(obj["report"]) == 2
         assert [row["target"] for row in obj["report"]] == [[1, 2], [2, 1]]
 
     def test_sets_file_requires_nonempty_sets(self, tmp_path):
