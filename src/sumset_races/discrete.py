@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -14,8 +13,14 @@ IntSet = tuple[int, ...]
 MAX_RACE_CANDIDATES = 1_000_000
 """Largest candidate space one race search may enumerate.
 
-Far above the spaces the benchmark catalogue and the CLI defaults use
-(6885 candidates at ground 16, maxsize 6; 794 at ground 12, maxsize 5).
+The profile table folds each candidate once, from its parent, with one
+shift-OR per fold, so its time grows with candidates times folds while it
+holds only the distinct profiles; the search then holds, per fold, one
+bitmask over the profiles for each value their sizes take. Far above the
+spaces the benchmark catalogue and the CLI defaults use (6885 candidates
+at ground 16, maxsize 6; 794 at ground 12, maxsize 5). The heaviest shape
+within it that was tried, ground 19 and maxsize 20 with 64 folds (524,288
+candidates, 10,902 profiles), takes about 13 s and 91 MB on a 2-vCPU VM.
 """
 
 MAX_RACE_SETS = 64
@@ -133,20 +138,72 @@ def check_race_bounds(ground: int, maxsize: int) -> None:
             )
 
 
-def _fold_sizes(base: IntSet, horizon: int) -> tuple[int, ...]:
-    """(|1B|, ..., |horizon B|) for a nonempty set of nonnegative ints.
+def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, ...], IntSet]:
+    """Each distinct size profile (|1B|, ..., |horizon B|) mapped to its first candidate.
 
-    Each fold is an int whose bit s is set when s is in hB, built as
-    hB = (h-1)B + B by OR-ing one shifted copy per element of B.
+    Candidates are 0 plus fewer than ``maxsize`` elements of {1, ..., ground},
+    taken by size, then lexicographically, and the table lists profiles in
+    the order of their first candidates. Sizes past ground + 1 hold no set.
     """
-    fold, sizes = 1, []
-    for _ in range(horizon):
-        nxt = 0
-        for x in base:
-            nxt |= fold << x
-        fold = nxt
-        sizes.append(fold.bit_count())
-    return tuple(sizes)
+    top = min(maxsize, ground + 1)
+    firsts: list[dict[tuple[int, ...], IntSet]] = [{(1,) * horizon: (0,)}]
+    firsts += [{} for _ in range(top - 1)]
+
+    # Depth first over the sets, each extended only by elements above its
+    # maximum, reaches the sets of one size in lexicographic order. Each fold
+    # is an int whose bit s is set when s is in hB, and B + {x} folds from B
+    # with one shift-OR per fold: h(B + {x}) = hB | ((h-1)(B + {x}) + x).
+    def grow(base: IntSet, folds: list[int]) -> None:
+        size = len(base) + 1
+        leaf = size == top
+        start = base[-1] + 1
+        if leaf and size > 2:
+            # A leaf B = base + (x,) with x - B[-2] < B[1] has a mirror x - B
+            # of its size and profile that is lexicographically smaller, so
+            # that profile was recorded first.
+            start = base[-1] + base[1]
+        seen = firsts[size - 1]
+        for x in range(start, ground + 1):
+            child, prev = [], 1
+            for fold in folds:
+                prev = fold | (prev << x)
+                child.append(prev)
+            cand = base + (x,)
+            seen.setdefault(tuple(map(int.bit_count, child)), cand)
+            if not leaf:
+                grow(cand, child)
+
+    if top > 1:
+        grow((0,), [1] * horizon)
+    table: dict[tuple[int, ...], IntSet] = {}
+    for seen in firsts:
+        for profile, cand in seen.items():
+            table.setdefault(profile, cand)
+    return table
+
+
+def _bound_masks(column: list[int]) -> tuple[list[int], list[int]]:
+    """For v in 0..max(column)+1, the bitmasks of {i : column[i] <= v} and {i : column[i] >= v}.
+
+    A mask is built once per value present, from a byte buffer, so the cost
+    is one pass over len(column) bits per distinct value; equal neighbours
+    share one int.
+    """
+    groups: list[list[int]] = [[] for _ in range(max(column) + 2)]
+    for i, v in enumerate(column):
+        groups[v].append(i)
+
+    def cumulative(ordered: Iterable[list[int]]) -> list[int]:
+        bits, mask, out = bytearray(len(column) // 8 + 1), 0, []
+        for members in ordered:
+            if members:
+                for i in members:
+                    bits[i >> 3] |= 1 << (i & 7)
+                mask = int.from_bytes(bits, "little")
+            out.append(mask)
+        return out
+
+    return cumulative(groups), cumulative(reversed(groups))[::-1]
 
 
 def search_race_sets(
@@ -171,51 +228,69 @@ def search_race_sets(
     candidate with its profile, so the first match in product order is
     made of such first candidates, and profiles taken in order of their
     first candidate visit those tuples in the same order.
+
+    The profile table walks the sets depth first, each child B + {x} (x
+    above max B) folded from its parent with one shift-OR per fold, and
+    keeps the first set of each profile per size; the per-size tables,
+    merged in size order, list profiles as the (size, lex) enumeration
+    meets them. Sets of the largest size are leaves, and one whose mirror
+    max B - B is lexicographically smaller is skipped unfolded: the mirror
+    has the same profile and came first.
+
+    The depth-first search numbers profiles in table order. For each fold
+    h and value v it holds the bitmasks of the profiles with |hB| <= v and
+    with |hB| >= v, so the profiles a node admits are one AND per
+    constraint the earlier sets impose, and it tries them lowest bit first,
+    which is table order.
     """
     goal = check_race_targets(targets)
     check_race_bounds(ground, maxsize)
     n, horizon = len(goal[0]), len(goal)
 
-    first: dict[tuple[int, ...], IntSet] = {}
-    for size in range(1, maxsize + 1):
-        for rest in combinations(range(1, ground + 1), size - 1):
-            cand = (0,) + rest
-            first.setdefault(_fold_sizes(cand, horizon), cand)
-    profiles = list(first)  # in order of first candidate
+    table = _profile_table(ground, maxsize, horizon)
+    profiles = list(table)
+    everything = (1 << len(profiles)) - 1
+    columns = [[p[h] for p in profiles] for h in range(horizon)]
+    at_most, at_least = zip(*map(_bound_masks, columns))
 
     # A prefix shows a target's rank pattern iff every pair of its entries
     # compares as the target's entries do at every fold. Earlier pairs were
     # checked when the prefix was built, so entry d is checked only against
-    # entries j < d: signs[d] lists (j, h, sign of target[h][j] - target[h][d]).
-    signs = [
-        [(j, h, (t[j] > t[d]) - (t[j] < t[d])) for j in range(d) for h, t in enumerate(goal)]
-        for d in range(n)
-    ]
+    # entries j < d. With sign = sign(target[h][j] - target[h][d]) and v =
+    # entry j's |hB|, entry d needs |hB| <= v - sign when sign >= 0 and
+    # |hB| >= v - sign when sign <= 0: checks[d] lists (j, column, masks, -sign).
+    checks: list[list[tuple[int, list[int], list[int], int]]] = [[] for _ in range(n)]
+    for d in range(n):
+        for j in range(d):
+            for h, t in enumerate(goal):
+                sign = (t[j] > t[d]) - (t[j] < t[d])
+                if sign >= 0:
+                    checks[d].append((j, columns[h], at_most[h], -sign))
+                if sign <= 0:
+                    checks[d].append((j, columns[h], at_least[h], -sign))
 
     # Siblings differ in their newest profile, so the search reaches each
     # prefix once and a memo of subtree outcomes would never be hit.
-    def first_suffix(prefix: tuple[tuple[int, ...], ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+    def first_suffix(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         depth = len(prefix)
         if depth == n:
             return ()
-        # At fold h entry `depth` must lie in [lo[h], hi[h]]: above every
-        # earlier entry the target ranks below it, below every one it ranks
-        # above, equal to every one it ties with.
-        lo, hi = [1] * horizon, [float("inf")] * horizon
-        for j, h, sign in signs[depth]:
-            v = prefix[j][h]
-            if sign >= 0:
-                hi[h] = min(hi[h], v - 1 if sign else v)
-            if sign <= 0:
-                lo[h] = max(lo[h], v + 1 if sign else v)
-        for profile in profiles:
-            if all(a <= v <= b for a, v, b in zip(lo, profile, hi)):
-                suffix = first_suffix(prefix + (profile,))
-                if suffix is not None:
-                    return (profile,) + suffix
+        admitted = everything
+        for j, column, masks, step in checks[depth]:
+            admitted &= masks[column[prefix[j]] + step]
+            if not admitted:
+                return None
+        while admitted:
+            low = admitted & -admitted
+            index = low.bit_length() - 1
+            suffix = first_suffix(prefix + (index,))
+            if suffix is not None:
+                return (index,) + suffix
+            admitted ^= low
         return None
 
     witness = first_suffix(())
     if witness is None:
         return None
-    return tuple(first[profile] for profile in witness)
+    first_sets = list(table.values())
+    return tuple(first_sets[index] for index in witness)

@@ -2,8 +2,9 @@
 
 Rendering quantizes exact endpoints to pixels, so it is the one place
 floats appear; every rect carries a tooltip with the exact rational
-endpoints it depicts. A pixel x comes from one correctly rounded int
-division of an endpoint by its union's scale, without a ``Fraction``.
+endpoints it depicts. A pixel comes from one correctly rounded int
+division of an endpoint's exact offset from the chart's left end, so large
+endpoints close together do not cancel, and svg.py makes no ``Fraction``.
 ``render`` draws a list of rows with the x -> pixel map ``layout`` gives.
 """
 
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, Rational
 from .serialization import format_rational
 
 __all__ = ["PALETTE", "RenderRow", "UndrawableError", "layout", "render"]
@@ -43,13 +44,14 @@ class RenderRow:
 
 
 class UndrawableError(ValueError):
-    """An endpoint lies beyond the float range, or the chart is narrower than floats resolve."""
+    """The chart is wider than the float range, or narrower than floats resolve."""
 
 
-def layout(rows: list[RenderRow]) -> tuple[float, float]:
-    """The map x -> x_offset + x_scale * x that spans the widest row over 90% of the canvas.
+def layout(rows: list[RenderRow]) -> tuple[Rational, float]:
+    """The map x -> 0.05 * WIDTH + x_scale * (x - xmin), as (xmin, x_scale).
 
-    Rows the map cannot place at finite pixels raise ``UndrawableError``.
+    It spans the widest row over 90% of the canvas; xmin is exact. Rows the
+    map cannot place at finite pixels raise ``UndrawableError``.
     """
     if not rows:
         raise ValueError("nothing to draw")
@@ -65,19 +67,19 @@ def layout(rows: list[RenderRow]) -> tuple[float, float]:
     if xmin == xmax:
         xmax = xmin + 1
     try:
+        # every offset x - xmin lies in [0, xmax - xmin], so its pixel is finite too
         x_scale = 0.90 * WIDTH / float(xmax - xmin)
-        x_offset = 0.05 * WIDTH - x_scale * float(xmin)
-        drawable = math.isfinite(x_offset + x_scale * float(xmax))  # then so is every pixel
+        drawable = math.isfinite(x_scale)
     except (OverflowError, ZeroDivisionError):
         drawable = False
     if not drawable:
         far = max(spans, key=lambda label: max(map(abs, spans[label])))
         raise UndrawableError(f"row {far!r} lies beyond the range or resolution of float pixels")
-    return x_offset, x_scale
+    return xmin, x_scale
 
 
 def render(rows: list[RenderRow], title: str = "interval sets") -> str:
-    x_offset, x_scale = layout(rows)
+    xmin, x_scale = layout(rows)
     height = TOP_PAD + ROW_HEIGHT * len(rows) + BOTTOM_PAD
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -89,6 +91,7 @@ def render(rows: list[RenderRow], title: str = "interval sets") -> str:
         f'font-family="sans-serif" font-size="13" fill="#333">{escape(title)}</text>',
     ]
     track_lo = 0.05 * WIDTH
+    on, od = xmin.numerator, xmin.denominator
     track_hi = 0.95 * WIDTH
     for idx, row in enumerate(rows):
         y = TOP_PAD + ROW_HEIGHT * idx + ROW_HEIGHT / 2
@@ -101,10 +104,12 @@ def render(rows: list[RenderRow], title: str = "interval sets") -> str:
             f'<text x="4" y="{y + 4:.1f}" font-family="sans-serif" '
             f'font-size="12" fill="#333">{escape(row.label)}</text>'
         )
+        # x - xmin = (x * od - on * scale) / (scale * od) for x = lo / scale, xmin = on / od
         scale = row.union.scale
+        left, den = on * scale, scale * od
         for lo, hi in row.union.pairs:
-            lo_px = x_offset + x_scale * (lo / scale)
-            hi_px = x_offset + x_scale * (hi / scale)
+            lo_px = track_lo + x_scale * ((lo * od - left) / den)
+            hi_px = track_lo + x_scale * ((hi * od - left) / den)
             tip = escape(
                 f"{row.label}: [{format_rational(lo, scale)}, {format_rational(hi, scale)}]"
             )

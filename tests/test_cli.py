@@ -176,6 +176,17 @@ class TestRace:
         assert "candidate sets" in capsys.readouterr().err
         assert not output.exists()
 
+    def test_sizes_past_ground_add_nothing(self, tmp_path, capsys):
+        # the bounds admit maxsize 10**9 at ground 10 (1024 candidates), and
+        # the search must not walk the empty sizes above 11
+        targets = write(tmp_path / "t.json", TARGETS)
+        outputs = []
+        for maxsize in ("11", str(10**9)):
+            output = tmp_path / f"race_{maxsize}.json"
+            assert main(["race", targets, str(output), "--ground", "10", "--maxsize", maxsize]) == 0
+            outputs.append((output.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_invalid_targets_exit_2(self, tmp_path):
         targets = write(tmp_path / "t.json", {"targets": [[1, 3]]})
         assert main(["race", targets, str(tmp_path / "o.json")]) == 2

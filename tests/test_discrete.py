@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,7 @@ from sumset_races.discrete import (
     MAX_RACE_CANDIDATES,
     MAX_RACE_FOLDS,
     MAX_RACE_SETS,
-    _fold_sizes,
+    _profile_table,
     check_race_bounds,
 )
 
@@ -205,14 +208,45 @@ def test_prop_search_matches_reference(targets, ground, maxsize):
     )
 
 
-@given(
-    st.sets(st.integers(0, 20), min_size=1, max_size=6).map(lambda s: tuple(sorted(s))),
-    st.integers(1, 5),
-)
-def test_prop_fold_sizes_match_hfold_ints(base, horizon):
-    assert _fold_sizes(base, horizon) == tuple(
-        len(hfold_ints(base, h)) for h in range(1, horizon + 1)
+def reference_profile_table(ground, maxsize, horizon):
+    table = {}
+    for size in range(1, maxsize + 1):
+        for rest in combinations(range(1, ground + 1), size - 1):
+            cand = (0,) + rest
+            profile = tuple(len(hfold_ints(cand, h)) for h in range(1, horizon + 1))
+            table.setdefault(profile, cand)
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 6), st.integers(1, 8))
+def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
+    # same profiles, same first candidates, in the same order
+    assert list(_profile_table(ground, maxsize, horizon).items()) == list(
+        reference_profile_table(ground, maxsize, horizon).items()
     )
+
+
+def test_profile_table_memory_stays_small():
+    # depth first holds one fold list per level, never a whole level of sets
+    tracemalloc.start()
+    try:
+        _profile_table(20, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_search_reproduces_the_benchmark_catalogue():
+    catalogue = Path(__file__).resolve().parent.parent / "perfbench/data/race_catalogue.json"
+    entries = json.loads(catalogue.read_text())["entries"]
+    assert len(entries) == 331
+    for e in entries:
+        witness = search_race_sets(e["targets"], e["ground"], e["maxsize"])
+        expected = None if e["witness"] is None else tuple(map(tuple, e["witness"]))
+        assert witness == expected
+        assert e["verdict"] == ("exhausted" if witness is None else "found")
 
 
 @given(
