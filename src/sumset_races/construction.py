@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
 
 from .intervals import Interval, IntervalUnion, Rational, _require_int, as_fraction
@@ -439,23 +439,38 @@ def verify_differences(
     the consecutive pairs between them. Nothing here reuses the
     construction's internals; the folds are recomputed from the sets as
     given.
+
+    Each fold's n measures and theta are put over one common denominator,
+    so every comparison is between integers: a difference is recomputed
+    from the two measures, and a telescoping sum of targets is a
+    difference of prefix sums of theta * d. Fractions are made only for
+    the ``DifferenceCheck`` records.
     """
     theta = as_fraction(scale)
     if len(sets) != diffs.n:
         raise ValueError(f"expected {diffs.n} sets, got {len(sets)}")
-    H = diffs.H
-    measures = [s.fold_measures(H) for s in sets]
-    checks = []
-    for i in range(1, diffs.n):
-        for h in range(1, H + 1):
-            computed = measures[i - 1][h - 1] - measures[i][h - 1]
-            target = theta * diffs.rows[i - 1][h - 1]
-            checks.append(DifferenceCheck(pair=i, h=h, computed=computed, target=target))
-    telescoping = []
-    for j in range(1, diffs.n):
-        for k in range(j + 1, diffs.n + 1):
-            for h in range(1, H + 1):
-                direct = measures[j - 1][h - 1] - measures[k - 1][h - 1]
-                summed = theta * sum(diffs.rows[i - 1][h - 1] for i in range(j, k))
-                telescoping.append(TelescopeCheck(j=j, k=k, h=h, ok=direct == summed))
+    n, H = diffs.n, diffs.H
+    folds = []  # per fold h: (den, the n measures and the prefix sums of targets over den)
+    for h, measures in enumerate(zip(*(s.fold_measures(H) for s in sets)), start=1):
+        den = math.lcm(theta.denominator, *(m.denominator for m in measures))
+        unit = theta.numerator * (den // theta.denominator)
+        nums = [m.numerator * (den // m.denominator) for m in measures]
+        prefix = [0, *accumulate(unit * diffs.rows[i][h - 1] for i in range(n - 1))]
+        folds.append((den, nums, prefix))
+    checks = [
+        DifferenceCheck(
+            pair=i,
+            h=h,
+            computed=Fraction(nums[i - 1] - nums[i], den),
+            target=Fraction(prefix[i] - prefix[i - 1], den),
+        )
+        for i in range(1, n)
+        for h, (den, nums, prefix) in enumerate(folds, start=1)
+    ]
+    telescoping = [
+        TelescopeCheck(j=j, k=k, h=h, ok=nums[j - 1] - nums[k - 1] == prefix[k - 1] - prefix[j - 1])
+        for j in range(1, n)
+        for k in range(j + 1, n + 1)
+        for h, (_, nums, prefix) in enumerate(folds, start=1)
+    ]
     return DifferenceReport(checks=tuple(checks), telescoping=tuple(telescoping))

@@ -182,28 +182,25 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
     return table
 
 
-def _bound_masks(column: list[int]) -> tuple[list[int], list[int]]:
-    """For v in 0..max(column)+1, the bitmasks of {i : column[i] <= v} and {i : column[i] >= v}.
+def _bound_masks(column: list[int]) -> list[int]:
+    """For v in 0..max(column), the bitmask of {i : column[i] <= v}.
 
     A mask is built once per value present, from a byte buffer, so the cost
     is one pass over len(column) bits per distinct value; equal neighbours
-    share one int.
+    share one int. The mask of {i : column[i] >= v} is the complement of
+    entry v - 1 within all profiles, so it is not stored.
     """
-    groups: list[list[int]] = [[] for _ in range(max(column) + 2)]
+    groups: list[list[int]] = [[] for _ in range(max(column) + 1)]
     for i, v in enumerate(column):
         groups[v].append(i)
-
-    def cumulative(ordered: Iterable[list[int]]) -> list[int]:
-        bits, mask, out = bytearray(len(column) // 8 + 1), 0, []
-        for members in ordered:
-            if members:
-                for i in members:
-                    bits[i >> 3] |= 1 << (i & 7)
-                mask = int.from_bytes(bits, "little")
-            out.append(mask)
-        return out
-
-    return cumulative(groups), cumulative(reversed(groups))[::-1]
+    bits, mask, out = bytearray(len(column) // 8 + 1), 0, []
+    for members in groups:
+        if members:
+            for i in members:
+                bits[i >> 3] |= 1 << (i & 7)
+            mask = int.from_bytes(bits, "little")
+        out.append(mask)
+    return out
 
 
 def search_race_sets(
@@ -238,10 +235,10 @@ def search_race_sets(
     has the same profile and came first.
 
     The depth-first search numbers profiles in table order. For each fold
-    h and value v it holds the bitmasks of the profiles with |hB| <= v and
-    with |hB| >= v, so the profiles a node admits are one AND per
-    constraint the earlier sets impose, and it tries them lowest bit first,
-    which is table order.
+    h and value v it holds the bitmask of the profiles with |hB| <= v; the
+    profiles with |hB| >= v are its complement at v - 1. So the profiles a
+    node admits are one AND per constraint the earlier sets impose, and it
+    tries them lowest bit first, which is table order.
     """
     goal = check_race_targets(targets)
     check_race_bounds(ground, maxsize)
@@ -251,23 +248,26 @@ def search_race_sets(
     profiles = list(table)
     everything = (1 << len(profiles)) - 1
     columns = [[p[h] for p in profiles] for h in range(horizon)]
-    at_most, at_least = zip(*map(_bound_masks, columns))
+    at_most = [_bound_masks(column) for column in columns]
 
     # A prefix shows a target's rank pattern iff every pair of its entries
     # compares as the target's entries do at every fold. Earlier pairs were
     # checked when the prefix was built, so entry d is checked only against
     # entries j < d. With sign = sign(target[h][j] - target[h][d]) and v =
     # entry j's |hB|, entry d needs |hB| <= v - sign when sign >= 0 and
-    # |hB| >= v - sign when sign <= 0: checks[d] lists (j, column, masks, -sign).
-    checks: list[list[tuple[int, list[int], list[int], int]]] = [[] for _ in range(n)]
+    # |hB| >= v - sign, that is not |hB| <= v - sign - 1, when sign <= 0.
+    # checks[d] lists (j, column, masks, step, flip): entry d is admitted by
+    # the mask masks[v + step] XOR flip, where flip is everything to take
+    # the complement and 0 to take the mask as it is.
+    checks: list[list[tuple[int, list[int], list[int], int, int]]] = [[] for _ in range(n)]
     for d in range(n):
         for j in range(d):
             for h, t in enumerate(goal):
                 sign = (t[j] > t[d]) - (t[j] < t[d])
                 if sign >= 0:
-                    checks[d].append((j, columns[h], at_most[h], -sign))
+                    checks[d].append((j, columns[h], at_most[h], -sign, 0))
                 if sign <= 0:
-                    checks[d].append((j, columns[h], at_least[h], -sign))
+                    checks[d].append((j, columns[h], at_most[h], -sign - 1, everything))
 
     # Siblings differ in their newest profile, so the search reaches each
     # prefix once and a memo of subtree outcomes would never be hit.
@@ -276,8 +276,8 @@ def search_race_sets(
         if depth == n:
             return ()
         admitted = everything
-        for j, column, masks, step in checks[depth]:
-            admitted &= masks[column[prefix[j]] + step]
+        for j, column, masks, step, flip in checks[depth]:
+            admitted &= masks[column[prefix[j]] + step] ^ flip
             if not admitted:
                 return None
         while admitted:

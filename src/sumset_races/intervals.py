@@ -15,14 +15,20 @@ Floats are refused.
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of B, of
 A thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of A no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. Every fold routine climbs one ladder,
-hA = (h-1)A + A, built by ``_fold_ladder``, and every rung is one call of
-the integer kernel ``_int_sum``, which sorts and merges through
-``_merged``, the one merge routine. A's scale is a common denominator of
-every hA, so ``IntervalUnion.fold_measures`` climbs the ladder on A's
-pairs and makes one ``Fraction`` per fold. ``IntervalUnion.folds`` (and
-``hfold``, its last rung) climbs it on unions, one ``__add__`` per rung,
-because its callers need the folds themselves.
+one piece per pair of parts. The integer kernel ``_int_sum`` groups B's
+parts by length, takes each thickening from a ``_Thickenings`` memo and
+adds a group's shifts to the thickening's starts and ends with C-level
+``map``. ``_merged``, the one merge routine, then sorts the starts and
+the ends separately and cuts wherever an end falls below the next start.
+
+Every fold routine climbs one ladder, hA = (h-1)A + A, built by
+``_fold_ladder``, and every rung is one call of ``_int_sum``. A's scale
+is a common denominator of every hA, so ``IntervalUnion.fold_measures``
+climbs the ladder on A's pairs, with one ``_Thickenings`` of A built once
+and shared by every rung, and makes one ``Fraction`` per fold.
+``IntervalUnion.folds`` (and ``hfold``, its last rung) climbs it on
+unions, one ``__add__`` per rung, because its callers need the folds
+themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import chain, compress, pairwise, repeat, starmap
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -142,7 +148,7 @@ class IntervalUnion:
 
     def _set(self, scale: int, pairs: IntPairs) -> None:
         if any(left[1] >= right[0] for left, right in pairwise(pairs)):
-            pairs = _merged(list(pairs))
+            pairs = _merged([lo for lo, _ in pairs], [hi for _, hi in pairs])
         g = math.gcd(scale, *chain.from_iterable(pairs))
         if g > 1:  # reduce to the least common denominator
             scale //= g
@@ -178,9 +184,9 @@ class IntervalUnion:
         """Total length of the union (points contribute nothing).
 
         The integer lengths are summed and one ``Fraction`` is built at
-        the end: the first fold measure.
+        the end.
         """
-        return self.fold_measures(1)[0]
+        return Fraction(_total_length(self._pairs), self._scale)
 
     def bounds(self) -> tuple[Fraction, Fraction] | None:
         """Smallest and largest covered point, or None when empty."""
@@ -254,10 +260,12 @@ class IntervalUnion:
         is also a common denominator of every hA, since hA's endpoints are
         sums of A's, so the ladder climbs on A's integer pairs, one
         ``_int_sum`` per rung, and each measure is one ``Fraction`` over a
-        fold's integer lengths.
+        fold's integer lengths. A's thickenings are built once and shared
+        by every rung.
         """
-        ladder = _fold_ladder(self._pairs, H, _int_sum)
-        return [Fraction(sum(hi - lo for lo, hi in pairs), self._scale) for pairs in ladder]
+        thickened = _Thickenings(self._pairs) if self._pairs else None
+        ladder = _fold_ladder(self._pairs, H, lambda prev, a: _int_sum(prev, a, thickened))
+        return [Fraction(_total_length(pairs), self._scale) for pairs in ladder]
 
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1)."""
@@ -307,59 +315,73 @@ def _rescaled(union: IntervalUnion, scale: int) -> IntPairs:
     return [(lo * k, hi * k) for lo, hi in union._pairs]
 
 
-def _merged(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Sort integer pairs (lo <= hi) in place and merge overlapping or touching ones.
+def _total_length(pairs: IntPairs) -> int:
+    """The sum of hi - lo over integer pairs, in one C-level pass."""
+    return -sum(starmap(operator.sub, pairs))
+
+
+def _merged(starts: list[int], ends: list[int]) -> list[tuple[int, int]]:
+    """The union of the integer pieces [starts[i], ends[i]] (each lo <= hi) as sorted, apart pairs.
 
     The one merge routine: ``_int_sum`` and every union built from pairs
-    that are not yet sorted and apart go through it.
+    that are not yet sorted and apart go through it. A union of closed
+    pieces depends only on the multisets of their starts and of their
+    ends, so the two lists are sorted separately, in place. In sorted
+    order the union has a hole between the i-th end and the (i+1)-th start
+    exactly when ends[i] < starts[i + 1]: up to any point of that hole
+    i + 1 pieces have started and i + 1 have ended. One C-level
+    comparison pass finds those cuts; touching pieces (an end equal to the
+    next start) merge.
     """
-    if not pairs:
+    if not starts:
         return []
-    pairs.sort()
-    merged: list[tuple[int, int]] = []
-    last_lo, last_hi = pairs[0]
-    for lo, hi in pairs:
-        if lo <= last_hi:
-            if hi > last_hi:
-                last_hi = hi
-        else:
-            merged.append((last_lo, last_hi))
-            last_lo, last_hi = lo, hi
-    merged.append((last_lo, last_hi))
-    return merged
+    starts.sort()
+    ends.sort()
+    later = starts[1:]
+    apart = list(map(operator.lt, ends, later))  # a cut between ends[i] and later[i]
+    return list(zip([starts[0], *compress(later, apart)], [*compress(ends, apart), ends[-1]]))
 
 
 class _Thickenings(dict):
-    """Maps L to the integer parts of ``parts + [0, L]``, built once per L.
+    """Maps L to the pieces of ``parts + [0, L]`` as (starts, ends) lists, built once per L.
 
     ``parts`` are sorted, disjoint integer pairs. Thickening by L fills
-    exactly the gaps of width at most L, so with the gaps sorted by
-    decreasing width the surviving ones are a prefix of that order, found
-    by bisection; one thickening costs O(surviving gaps), not O(parts).
+    exactly the gaps of width at most L, so the thickened parts start at
+    the first part's start and at the right end of every gap wider than L,
+    and end L past the left end of every such gap and past the last part.
+    With the gaps sorted once by decreasing width, those wider than L are
+    a prefix of that order, found by bisection, and a thickening is two
+    slices of it: O(surviving gaps), not O(parts). The lists follow the
+    width order, not position: ``_merged`` sorts starts and ends apart, so
+    only their multisets matter. A ladder builds one ``_Thickenings`` of A
+    and every rung reuses it, memo included.
     """
 
-    def __init__(self, parts: list[tuple[int, int]]) -> None:
+    def __init__(self, parts: IntPairs) -> None:
         super().__init__()
-        self.parts = parts
         # Gap i lies between parts i and i + 1. Keyed on minus its width,
         # the gaps sort widest first and the keys ascend, ready for bisect.
-        self.by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
-        self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in self.by_width]
+        by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
+        self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in by_width]
+        self.gap_los = [parts[i][1] for i in by_width]
+        self.gap_his = [parts[i + 1][0] for i in by_width]
+        self.first = parts[0][0]
+        self.last = parts[-1][1]
 
-    def __missing__(self, L: int) -> list[tuple[int, int]]:
-        parts = self.parts
-        open_gaps = sorted(self.by_width[: bisect_left(self.neg_widths, -L)])  # wider than L
-        starts = [parts[0][0]] + [parts[i + 1][0] for i in open_gaps]
-        ends = [parts[i][1] + L for i in open_gaps] + [parts[-1][1] + L]
-        self[L] = segments = list(zip(starts, ends))
-        return segments
+    def __missing__(self, L: int) -> tuple[list[int], list[int]]:
+        wider = bisect_left(self.neg_widths, -L)  # the gaps wider than L
+        starts = [self.first, *self.gap_his[:wider]]
+        ends = [*map(operator.add, self.gap_los[:wider], repeat(L)), self.last + L]
+        self[L] = pieces = (starts, ends)
+        return pieces
 
 
 def _fold_ladder(first, H: int, add) -> list:
     """[1A, ..., HA] for A = ``first``, each rung hA = add((h-1)A, A).
 
     The one fold ladder: ``folds`` climbs it on unions with ``+`` and
-    ``fold_measures`` on integer pairs with ``_int_sum``.
+    ``fold_measures`` on integer pairs with ``_int_sum``, sharing one
+    ``_Thickenings`` of A across its rungs.
     """
     _require_int(H, "fold count", lo=1)
     ladder = [first]
@@ -368,26 +390,49 @@ def _fold_ladder(first, H: int, add) -> list:
     return ladder
 
 
-def _int_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+def _int_sum(
+    a: IntPairs, b: IntPairs, thickened_b: _Thickenings | None = None
+) -> list[tuple[int, int]]:
     """Minkowski sum of two canonical unions given as sorted integer pairs.
 
     For a part [lo, lo + L] of one operand, ``A + [lo, lo + L]`` is the
     other operand A thickened by L and shifted by lo: each gap of A of
-    width at most L fills and each part stretches right by L. Each
-    distinct L is thickened once, at a cost in the gaps that survive it,
-    so the work follows the output rather than the p*q part pairs. The
-    result is sorted and merged, touching pairs included.
+    width at most L fills and each part stretches right by L. Every part
+    of the iterated operand emits at least one piece, so the operand with
+    fewer parts is iterated and the other thickened; ``thickened_b``, when
+    given, is ``_Thickenings(b)`` kept by the caller, as a ladder keeps
+    A's for all its rungs. The iterated parts are grouped by length, each
+    distinct L is thickened once, and a group's pieces are its shifts
+    added to the thickening's starts and ends with C-level ``map``,
+    looping over whichever of the shifts and the thickening's pieces is
+    shorter. So the work follows the output rather than the p*q part
+    pairs. ``_merged`` sorts and merges the pieces, touching ones included.
     """
     if not a or not b:
         return []
-    # Every part of the iterated operand emits at least one piece, so
-    # iterate the one with fewer parts and thicken the other.
-    base, other = (a, b) if len(a) >= len(b) else (b, a)
-    thickened = _Thickenings(base)
-    pairs = []
+    if len(b) >= len(a):
+        other = a
+        thickened = _Thickenings(b) if thickened_b is None else thickened_b
+    else:
+        other = b
+        thickened = _Thickenings(a)
+    shifts_by_length: dict[int, list[int]] = {}
     for lo, hi in other:
-        pairs.extend([(lo + x, lo + y) for x, y in thickened[hi - lo]])
-    return _merged(pairs)
+        shifts_by_length.setdefault(hi - lo, []).append(lo)
+    starts: list[int] = []
+    ends: list[int] = []
+    for L, shifts in shifts_by_length.items():
+        piece_starts, piece_ends = thickened[L]
+        if len(shifts) <= len(piece_starts):
+            for lo in shifts:
+                starts += map(operator.add, piece_starts, repeat(lo))
+                ends += map(operator.add, piece_ends, repeat(lo))
+        else:
+            for start in piece_starts:
+                starts += map(operator.add, shifts, repeat(start))
+            for end in piece_ends:
+                ends += map(operator.add, shifts, repeat(end))
+    return _merged(starts, ends)
 
 
 def grid_measure_oracle(union: IntervalUnion, step: Rational) -> tuple[Fraction, Fraction]:

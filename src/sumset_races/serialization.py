@@ -16,6 +16,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -165,7 +166,54 @@ def read_json(path: str | Path) -> Any:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
+
+    The standard encoder runs in pure Python whenever it indents, so the
+    text is built here directly, in the same layout; strings go through
+    the C escaper ``encode_basestring_ascii``. Only what the output files
+    hold is taken: dicts with str keys, lists, str, int and bool; anything
+    else raises ``TypeError``.
+    """
+    chunks: list[str] = []
+    _encode(obj, "\n", chunks)
+    chunks.append("\n")
+    Path(path).write_text("".join(chunks))
+
+
+def _encode(obj: Any, newline: str, chunks: list[str]) -> None:
+    """Append the indent-2 JSON text of ``obj`` to ``chunks``; ``newline`` starts its lines."""
+    if isinstance(obj, str):
+        chunks.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, bool):
+        chunks.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        chunks.append(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        try:  # a list of strings, such as a part's [lo, hi], in one C-level join
+            chunks.append("[" + inner + separator.join(map(encode_basestring_ascii, obj)))
+        except TypeError:  # some item is not a str
+            for i, item in enumerate(obj):
+                chunks.append(separator if i else "[" + inner)
+                _encode(item, inner, chunks)
+        chunks.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            chunks.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, chunks)
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:

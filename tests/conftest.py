@@ -59,6 +59,43 @@ def gappy_unions(draw, min_parts: int = 1, max_parts: int = 24):
 
 
 @st.composite
+def tied_unions(draw, min_parts: int = 20, max_parts: int = 60):
+    """20-60 parts whose lengths and gap widths repeat, points included.
+
+    Each union draws up to three lengths from {0, 1, 2, 3} and up to three
+    gap widths from {1, 2, 3, 9}, over one denominator, so many parts
+    share a length and many gaps a width: a Minkowski sum meets large
+    groups of equal lengths, some thickened into a single piece, and the
+    bisection over gap widths lands on runs of equal keys. The wide gaps
+    keep a few folds from filling in.
+    """
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=3))
+    widths = draw(st.lists(st.sampled_from([1, 2, 3, 9]), min_size=1, max_size=3))
+    cursor = draw(st.integers(-24, 24))
+    pairs = []
+    for _ in range(draw(st.integers(min_parts, max_parts))):
+        length = draw(st.sampled_from(lengths))
+        pairs.append((Fraction(cursor, den), Fraction(cursor + length, den)))
+        cursor += length + draw(st.sampled_from(widths))
+    return IntervalUnion(pairs)
+
+
+@st.composite
+def int_piece_soups(draw, max_pieces: int = 60):
+    """Unsorted integer pieces (lo, hi) with repeated ends, points, and pieces
+    that touch one another end to start."""
+    pieces = []
+    for _ in range(draw(st.integers(1, max_pieces))):
+        lo = draw(st.integers(-12, 12))
+        pieces.append((lo, lo + draw(st.sampled_from([0, 0, 1, 2, 5]))))
+        if draw(st.booleans()):  # a neighbour starting where this one ends
+            end = pieces[-1][1]
+            pieces.append((end, end + draw(st.integers(0, 3))))
+    return draw(st.permutations(pieces))
+
+
+@st.composite
 def interval_soups(draw, max_parts: int = 12):
     """Unsorted, overlapping, touching, nested and point intervals, mixed denominators."""
     pieces = draw(st.lists(intervals(max_denominator=12), max_size=max_parts))

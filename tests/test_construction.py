@@ -403,6 +403,103 @@ class TestVerifyDifferences:
         assert verify_differences(result.sets, diffs, theta).all_ok
 
 
+def reference_verify_differences(sets, diffs, scale):
+    """``verify_differences`` in Fraction arithmetic: each difference and each
+    telescoping sum formed from the measures as Fractions and compared."""
+    theta = F(scale)
+    measures = [[fold.measure() for fold in s.folds(diffs.H)] for s in sets]
+    checks = [
+        construction.DifferenceCheck(
+            pair=i,
+            h=h,
+            computed=measures[i - 1][h - 1] - measures[i][h - 1],
+            target=theta * diffs.rows[i - 1][h - 1],
+        )
+        for i in range(1, diffs.n)
+        for h in range(1, diffs.H + 1)
+    ]
+    telescoping = [
+        construction.TelescopeCheck(
+            j=j,
+            k=k,
+            h=h,
+            ok=measures[j - 1][h - 1] - measures[k - 1][h - 1]
+            == theta * sum(diffs.rows[i - 1][h - 1] for i in range(j, k)),
+        )
+        for j in range(1, diffs.n)
+        for k in range(j + 1, diffs.n + 1)
+        for h in range(1, diffs.H + 1)
+    ]
+    return construction.DifferenceReport(checks=tuple(checks), telescoping=tuple(telescoping))
+
+
+def moved_endpoint(union, index, shift):
+    """``union`` with the right end of part ``index`` moved by ``shift``."""
+    parts = list(union.parts)
+    part = parts[index % len(parts)]
+    parts[index % len(parts)] = Interval(part.lo, max(part.lo, part.hi + shift))
+    return IntervalUnion(parts)
+
+
+class TestVerifyDifferencesAgainstFractionReference:
+    # verify_differences compares integers over one denominator per fold;
+    # the reference subtracts and sums Fractions. Every check and every
+    # telescoping entry must agree, passing or failing.
+
+    @staticmethod
+    def draw_problem(data, n_max=4, H_max=6):
+        n = data.draw(st.integers(2, n_max))
+        H = data.draw(st.integers(2, H_max))
+        row = st.lists(st.integers(-20, 20), min_size=H, max_size=H)
+        diffs = DiffMatrix(data.draw(st.lists(row, min_size=n - 1, max_size=n - 1)))
+        theta = data.draw(st.sampled_from([F(1), F(3, 7), F(22, 7), F(113, 355)]))
+        return diffs, theta
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_prop_random_builds_match_reference(self, data):
+        diffs, theta = self.draw_problem(data)
+        sets = build_sets(diffs, theta).sets
+        report = verify_differences(sets, diffs, theta)
+        assert report == reference_verify_differences(sets, diffs, theta)
+        assert report.all_ok
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_prop_tampered_sets_fail_the_same_entries(self, data):
+        diffs, theta = self.draw_problem(data)
+        sets = list(build_sets(diffs, theta).sets)
+        if data.draw(st.booleans(), label="swap two sets"):
+            i, j = data.draw(st.lists(st.integers(0, diffs.n - 1), min_size=2, max_size=2))
+            sets[i], sets[j] = sets[j], sets[i]
+        else:
+            target = data.draw(st.integers(0, diffs.n - 1), label="set")
+            index = data.draw(st.integers(0, 10**6), label="part")
+            shift = data.draw(st.sampled_from([F(1, 3), F(-1, 5), F(7, 113)]), label="shift")
+            sets[target] = moved_endpoint(sets[target], index, shift * theta)
+        report = verify_differences(sets, diffs, theta)
+        reference = reference_verify_differences(sets, diffs, theta)
+        assert report == reference
+        failed = {(c.pair, c.h) for c in report.checks if not c.ok}
+        assert failed == {(c.pair, c.h) for c in reference.checks if not c.ok}
+        assert {(t.j, t.k, t.h) for t in report.telescoping if not t.ok} == {
+            (t.j, t.k, t.h) for t in reference.telescoping if not t.ok
+        }
+
+    def test_moved_endpoint_fails_exactly_its_pairs(self):
+        diffs = DiffMatrix(((1, 0, 2), (0, -1, 1), (2, 2, 0)))
+        sets = list(build_sets(diffs, F(3, 7)).sets)
+        sets[1] = moved_endpoint(sets[1], -1, F(1, 9))  # the last part reaches further
+        report = verify_differences(sets, diffs, F(3, 7))
+        assert report == reference_verify_differences(sets, diffs, F(3, 7))
+        # set 2 takes part in pairs 1 and 2 only, at every fold
+        assert {(c.pair, c.h) for c in report.checks if not c.ok} == {
+            (pair, h) for pair in (1, 2) for h in (1, 2, 3)
+        }
+        # a telescoping range fails when it has set 2 at exactly one end
+        assert {(t.j, t.k) for t in report.telescoping if not t.ok} == {(1, 2), (2, 3), (2, 4)}
+
+
 TABLES = [DiffMatrix, StepMatrix, CarveMatrix]
 
 

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     brute_measure,
     gappy_unions,
     interval_soups,
+    int_piece_soups,
     interval_unions,
     pairwise_sum,
     rationals,
@@ -24,8 +25,10 @@ from conftest import (
     reference_merge,
     reference_subtract,
     reference_translate,
+    tied_unions,
 )
 from sumset_races import Interval, IntervalUnion, grid_measure_oracle
+from sumset_races.intervals import _fold_ladder, _int_sum, _merged, _Thickenings
 
 
 def U(*pairs):
@@ -465,3 +468,54 @@ def test_prop_bounds_and_membership_match_reference(soup, points):
 def test_prop_grid_oracle_matches_reference(u, step):
     step = step or F(1, 48)
     assert grid_measure_oracle(u, step) == reference_grid_oracle(u.parts, step)
+
+
+# ------------------------- the merge and the grouped sum, on tied and touching input
+
+
+@given(int_piece_soups())
+def test_prop_start_end_merge_matches_reference_merge(pieces):
+    # _merged sorts starts and ends apart; the reference sorts whole parts
+    merged = _merged([lo for lo, _ in pieces], [hi for _, hi in pieces])
+    assert merged == [(int(p.lo), int(p.hi)) for p in reference_merge(pieces)]
+
+
+def test_start_end_merge_joins_touching_pieces_and_keeps_points_apart():
+    assert _merged([3, 0, 1], [4, 1, 3]) == [(0, 4)]
+    assert _merged([5, 0, 2, 2], [5, 1, 2, 2]) == [(0, 1), (2, 2), (5, 5)]
+    assert _merged([0, 0], [0, 0]) == [(0, 0)]
+    assert _merged([], []) == []
+
+
+# 40 unit parts with gaps of 1 and 7: thickening by 1 leaves 20 pieces for 40
+# shifts, so the sum loops over the thickening's pieces rather than the shifts
+ONE_LENGTH = IntervalUnion((10 * k, 10 * k + 1) for k in range(20)) + U((0, 0), (2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_unions(), st.one_of(tied_unions(), gappy_unions()))
+@example(ONE_LENGTH, ONE_LENGTH)
+@example(ONE_LENGTH, IntervalUnion((k, k + F(1, 2)) for k in range(0, 30, 3)))
+def test_prop_grouped_sum_matches_pairwise_reference(a, b):
+    reference = pairwise_sum(a, b)
+    assert a + b == reference
+    # a shared _Thickenings of b, reused by a second sum, gives the same pairs
+    scale = math.lcm(a.scale, b.scale)
+    a_pairs = [(lo * (scale // a.scale), hi * (scale // a.scale)) for lo, hi in a.pairs]
+    b_pairs = [(lo * (scale // b.scale), hi * (scale // b.scale)) for lo, hi in b.pairs]
+    shared = _Thickenings(b_pairs)
+    for _ in range(2):
+        assert IntervalUnion._from_pairs(scale, _int_sum(a_pairs, b_pairs, shared)) == reference
+
+
+@settings(max_examples=20, deadline=None)
+@given(tied_unions(max_parts=40), st.integers(2, 6))
+def test_prop_fold_measures_with_shared_thickenings_match_iterated_pairwise_sums(u, H):
+    reference = [u]
+    for _ in range(H - 1):
+        reference.append(pairwise_sum(reference[-1], u))
+    assert u.fold_measures(H) == [fold.measure() for fold in reference]
+    # the same ladder on integer pairs, with A's thickenings shared by every rung
+    shared = _Thickenings(u.pairs)
+    ladder = _fold_ladder(u.pairs, H, lambda prev, a: _int_sum(prev, a, shared))
+    assert [IntervalUnion._from_pairs(u.scale, pairs) for pairs in ladder] == reference

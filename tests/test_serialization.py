@@ -4,7 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import interval_unions, rationals
 from sumset_races import (
@@ -259,3 +260,42 @@ class TestOutputObjects:
         path.write_text(json.dumps({"other": 1}))
         with pytest.raises(SchemaError):
             load_sets_file(path)
+
+
+# Everything write_json accepts: str-keyed dicts, lists, str, int and bool,
+# nested, with empty containers and strings that need escaping.
+json_values = st.recursive(
+    st.one_of(
+        st.booleans(),
+        st.integers(),
+        st.text(),
+        st.sampled_from(["", "\u00e9\u00df", "\U0001f600", '"\\/', "\n\t\r\x00\x1f\x7f", "3/4"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriteJson:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(json_values)
+    def test_prop_bytes_equal_indent_2_dumps(self, tmp_path, obj):
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("obj", [{}, [], [{}], {"a": []}, [[], [[]], {}], ""])
+    def test_empty_containers(self, tmp_path, obj):
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj", [1.5, None, (1, 2), {1: "a"}, ["ok", None], {"a": [1, 2.0]}, {"a", "b"}]
+    )
+    def test_rejects_what_the_outputs_never_hold(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "out.json", obj)
