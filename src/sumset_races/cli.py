@@ -25,6 +25,14 @@ EXIT_SCHEMA = 2
 EXIT_VERIFY = 3
 EXIT_EXHAUSTED = 4
 
+MAX_PLOT_FOLDS = 64
+"""Largest ``plot --hmax``: the chart has one row per set and fold.
+
+Its size grows linearly with the folds drawn (the README's two-set build
+writes 94 KB at 64 folds). Like ``discrete.MAX_RACE_FOLDS``, 64 is 16
+times the deepest fold count in the benchmark catalogue.
+"""
+
 
 def _cmd_build(args: argparse.Namespace) -> int:
     diffs, theta = ser.load_problem(args.problem)
@@ -91,8 +99,8 @@ def _cmd_race(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    if args.hmax < 1:
-        raise ser.SchemaError("--hmax must be >= 1")
+    if not 1 <= args.hmax <= MAX_PLOT_FOLDS:
+        raise ser.SchemaError(f"--hmax must lie between 1 and {MAX_PLOT_FOLDS}")
     sets = ser.load_sets_file(args.sets)
     rows = []
     for i, s in enumerate(sets, start=1):

@@ -19,7 +19,6 @@ gap multiplicities into controlled measure differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
@@ -70,8 +69,7 @@ class BuildBudgetError(ValueError):
     """The targets need more carved gaps than ``MAX_BUILD_GAPS``."""
 
 
-@dataclass(frozen=True)
-class IntTable:
+class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
     """Validated rectangular integer table: rows of equal width H >= 2.
 
     ``n`` is the number of sets the table describes, at least two; here
@@ -79,11 +77,11 @@ class IntTable:
     ``n`` and add rules of their own in ``_check``.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_require_int(v, "table entry") for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
+        rows = tuple(tuple(_require_int(v, "table entry") for v in row) for row in rows)
+        self = super().__new__(cls, rows)
         if self.n < 2:
             raise ValueError(f"need rows for at least two sets, got {len(rows)} rows")
         if len(rows[0]) < 2:
@@ -91,6 +89,7 @@ class IntTable:
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must all have the same width")
         self._check()
+        return self
 
     def _check(self) -> None:
         """Rules beyond shape and integrality; none for the base table."""
@@ -111,13 +110,19 @@ class DiffMatrix(IntTable):
     before scaling. n-1 rows of width H, with n >= 2 and H >= 2.
     """
 
+    __slots__ = ()
+
 
 class StepMatrix(IntTable):
     """Per-step gap-count increments between consecutive sets, one row per pair."""
 
+    __slots__ = ()
+
 
 class CarveMatrix(IntTable):
     """Nonnegative gap multiplicities, one row per set, one column per width class."""
+
+    __slots__ = ()
 
     def _check(self) -> None:
         if any(v < 0 for row in self.rows for v in row):
@@ -134,8 +139,10 @@ class CarveMatrix(IntTable):
         return tuple(sum(row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+_PARAM_FIELDS = [("eps", Fraction), ("delta", Fraction), ("c", Fraction), ("H", int), ("n", int)]
+
+
+class ConstructionParams(NamedTuple("ConstructionParams", _PARAM_FIELDS)):
     """Shared geometry for one build: gap unit delta, filler offset c, and eps.
 
     Invariants keep every piece strictly separated: eps in (0, 1/3),
@@ -143,27 +150,21 @@ class ConstructionParams:
     carved block never collide with the seed block [0, delta].
     """
 
-    eps: Fraction
-    delta: Fraction
-    c: Fraction
-    H: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int(self.H, "fold horizon H", lo=2)
-        _require_int(self.n, "set count n", lo=2)
-        eps = as_fraction(self.eps)
-        delta = as_fraction(self.delta)
-        c = as_fraction(self.c)
+    def __new__(
+        cls, eps: Rational, delta: Rational, c: Rational, H: int, n: int
+    ) -> "ConstructionParams":
+        _require_int(H, "fold horizon H", lo=2)
+        _require_int(n, "set count n", lo=2)
+        eps, delta, c = as_fraction(eps), as_fraction(delta), as_fraction(c)
         if not 0 < eps < Fraction(1, 3):
             raise ValueError(f"eps must lie strictly between 0 and 1/3, got {eps}")
-        if not 0 < delta < eps / (self.H - 1):
+        if not 0 < delta < eps / (H - 1):
             raise ValueError(f"delta must lie strictly between 0 and eps/(H-1), got {delta}")
-        if not (self.H - 1) * delta + 3 < c:
+        if not (H - 1) * delta + 3 < c:
             raise ValueError(f"offset c too small: need (H-1)*delta + 3 < c, got {c}")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, eps, delta, c, H, n)
 
 
 def solve_steps(diffs: DiffMatrix) -> StepMatrix:
@@ -257,8 +258,7 @@ def filler_set(eps: Rational) -> IntervalUnion:
     return IntervalUnion([(0, 1 - e), (2, 3 - e)])
 
 
-@dataclass(frozen=True)
-class CarvedBlock:
+class CarvedBlock(NamedTuple):
     """The block [1+eps, 2-2eps] with calibrated open gaps removed.
 
     Gap j opens at anchor u_j = 1 + eps + 2*H*j*delta and has width
@@ -395,8 +395,7 @@ def build_sets(diffs: DiffMatrix, scale: Rational) -> BuildResult:
     return BuildResult(sets=sets, params=params, carves=carves)
 
 
-@dataclass(frozen=True)
-class DifferenceCheck:
+class DifferenceCheck(NamedTuple):
     """One recomputed consecutive difference against its scaled target."""
 
     pair: int  # 1-based: compares sets[pair-1] and sets[pair]
@@ -409,8 +408,7 @@ class DifferenceCheck:
         return self.computed == self.target
 
 
-@dataclass(frozen=True)
-class TelescopeCheck:
+class TelescopeCheck(NamedTuple):
     """Pairwise difference recomputed as a sum of consecutive ones."""
 
     j: int
@@ -419,8 +417,7 @@ class TelescopeCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
+class DifferenceReport(NamedTuple):
     checks: tuple[DifferenceCheck, ...]
     telescoping: tuple[TelescopeCheck, ...]
 

@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, pairwise, repeat, starmap
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -74,20 +73,20 @@ def _require_int(value: object, what: str, lo: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with rational endpoints; lo == hi is a point."""
+class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
+    """Closed interval [lo, hi] with rational endpoints; lo == hi is a point.
 
-    lo: Fraction
-    hi: Fraction
+    It is the ``(lo, hi)`` pair of Fractions, so it equals (and hashes as)
+    that tuple, as ``IntervalLike`` already takes such pairs for intervals.
+    """
 
-    def __post_init__(self) -> None:
-        lo = as_fraction(self.lo)
-        hi = as_fraction(self.hi)
+    __slots__ = ()
+
+    def __new__(cls, lo: Rational, hi: Rational) -> "Interval":
+        lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise ValueError(f"endpoints out of order: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return super().__new__(cls, lo, hi)
 
     @property
     def length(self) -> Fraction:

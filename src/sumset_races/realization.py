@@ -11,9 +11,8 @@ sizes: whatever order race the integers run, the interval sets run too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .discrete import as_int_set, check_race_targets, dense_rank, hfold_ints
 from .intervals import IntervalUnion, _require_int
@@ -45,8 +44,7 @@ def realize(
     return tuple(IntervalUnion((b, b + width) for b in base) for base in bases), width
 
 
-@dataclass(frozen=True)
-class TauRaceCheck:
+class TauRaceCheck(NamedTuple):
     """Rank patterns of the h-fold measures and sumset sizes, and the one wanted."""
 
     h: int
@@ -61,8 +59,7 @@ class TauRaceCheck:
         return self.measure_ranks == self.cardinality_ranks == self.target
 
 
-@dataclass(frozen=True)
-class TauRaceReport:
+class TauRaceReport(NamedTuple):
     checks: tuple[TauRaceCheck, ...]
 
     @property

@@ -11,8 +11,7 @@ endpoints close together do not cancel, and svg.py makes no ``Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
+from typing import NamedTuple
 
 from .intervals import IntervalUnion, Rational
 from .serialization import format_rational
@@ -36,11 +35,25 @@ TOP_PAD = 34
 BOTTOM_PAD = 14
 
 
-@dataclass(frozen=True)
-class RenderRow:
+class RenderRow(NamedTuple):
     label: str
     union: IntervalUnion
     color: str
+
+
+def escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, without the modules that importing it loads."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr``: escape, encode newline, CR and tab, then quote."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 class UndrawableError(ValueError):

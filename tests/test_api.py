@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names, and its value types behaving as values."""
+
+from fractions import Fraction as F
+
+import pytest
 
 import sumset_races
+from sumset_races import CarveMatrix, ConstructionParams, DiffMatrix, Interval, StepMatrix
 
 
 def test_public_names_are_pinned():
@@ -40,3 +45,74 @@ def test_public_names_are_pinned():
     ]
     for name in sumset_races.__all__:
         assert hasattr(sumset_races, name)
+
+
+PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Interval(1, 0), ValueError, "endpoints out of order: 1 > 0"),
+        (lambda: Interval(0.5, 1), TypeError, "exact rational required, got float"),
+        (lambda: ConstructionParams(**{**PARAMS, "eps": F(1, 2)}), ValueError,
+         "eps must lie strictly between 0 and 1/3, got 1/2"),
+        (lambda: ConstructionParams(**{**PARAMS, "delta": F(1, 2)}), ValueError,
+         r"delta must lie strictly between 0 and eps/\(H-1\), got 1/2"),
+        (lambda: ConstructionParams(**{**PARAMS, "c": 3}), ValueError,
+         r"offset c too small: need \(H-1\)\*delta \+ 3 < c, got 3"),
+        (lambda: ConstructionParams(**{**PARAMS, "H": 1}), ValueError,
+         "fold horizon H must be an integer >= 2, got 1"),
+        (lambda: ConstructionParams(**{**PARAMS, "n": True}), TypeError,
+         "set count n must be an integer, got True"),
+        (lambda: DiffMatrix(()), ValueError, "need rows for at least two sets, got 0 rows"),
+        (lambda: DiffMatrix(((1,),)), ValueError, "need at least two columns, for folds 1 and 2"),
+        (lambda: DiffMatrix(((1, 0), (1,))), ValueError, "rows must all have the same width"),
+        (lambda: DiffMatrix(((1, F(1, 2)),)), TypeError, "table entry must be an integer"),
+        (lambda: CarveMatrix(((1, 0),)), ValueError, "need rows for at least two sets, got 1 rows"),
+        (lambda: CarveMatrix(((1, 0), (-1, 2))), ValueError,
+         "gap multiplicities must be nonnegative"),
+        (lambda: CarveMatrix(((1, 0), (0, 0))), ValueError,
+         "every set must carve at least one gap"),
+    ],
+)
+def test_value_types_refuse_bad_fields(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+VALUES = [
+    (lambda: Interval(0, F(1, 2)), "lo"),
+    (lambda: ConstructionParams(**PARAMS), "delta"),
+    (lambda: DiffMatrix(((1, 0),)), "rows"),
+    (lambda: CarveMatrix(((1, 0), (2, 3))), "rows"),
+]
+
+
+@pytest.mark.parametrize("make, field", VALUES)
+def test_value_types_are_immutable(make, field):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("make, field", VALUES)
+def test_equal_values_compare_and_hash_equal(make, field):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_value_reprs():
+    assert repr(Interval(0, 1)) == "[0, 1]"
+    assert repr(Interval(F(-1, 2), 3)) == "[-1/2, 3]"
+    assert repr(StepMatrix(((1, -2),))) == "StepMatrix(rows=((1, -2),))"
+    assert repr(ConstructionParams(**PARAMS)).startswith("ConstructionParams(eps=Fraction(1, 4), ")
+
+
+def test_interval_is_its_pair_of_fractions():
+    assert Interval(0, F(1, 2)) == (F(0), F(1, 2))
+    assert Interval(lo=0, hi=1).lo == 0 and isinstance(Interval(0, 1).hi, F)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_races import cli, verify_tau_race
-from sumset_races.cli import main
+from sumset_races.cli import MAX_PLOT_FOLDS, main
 from sumset_races.discrete import MAX_RACE_FOLDS, MAX_RACE_SETS
 from sumset_races.serialization import MAX_NUMERAL_DIGITS
 
@@ -234,6 +234,17 @@ class TestPlot:
         _, output = built
         assert main(["plot", output, str(tmp_path / "x.svg"), "--hmax", "0"]) == 2
 
+    def test_hmax_above_limit_exits_2_before_loading(self, tmp_path, capsys):
+        # a missing sets file shows whether --hmax was checked before the load
+        missing, svg_path = str(tmp_path / "missing.json"), tmp_path / "x.svg"
+        hmax = str(MAX_PLOT_FOLDS + 1)
+        assert main(["plot", missing, str(svg_path), "--hmax", hmax]) == 2
+        refusal = f"schema error: --hmax must lie between 1 and {MAX_PLOT_FOLDS}"
+        assert refusal in capsys.readouterr().err
+        assert main(["plot", missing, str(svg_path), "--hmax", str(MAX_PLOT_FOLDS)]) == 2
+        assert "schema error: cannot read" in capsys.readouterr().err
+        assert not svg_path.exists()
+
     @pytest.mark.parametrize(
         "sets, row",
         [
@@ -358,21 +369,44 @@ class TestOversizedNumerals:
         assert "schema error" in capsys.readouterr().err
 
 
+# stdlib packages a fresh ``import sumset_races.cli`` must not load: the
+# xml.sax.saxutils chain (urllib.request, http, email, ssl, socket,
+# hashlib) and dataclasses with what it imports (inspect)
+UNUSED_STDLIB = (
+    "xml", "urllib.request", "http", "email", "ssl", "socket", "hashlib", "dataclasses", "inspect",
+)
+
+
 class TestEntryPoints:
-    def test_module_invocation(self, tmp_path):
-        problem = write(tmp_path / "p.json", PROBLEM)
-        output = str(tmp_path / "o.json")
-        # the child imports the package the suite imports, installed or not
+    @staticmethod
+    def run_child(*args):
+        """Run a fresh interpreter that imports the package the suite imports, installed or not."""
         source = str(Path(cli.__file__).parents[1])
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sumset_races", "build", problem, output],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_invocation(self, tmp_path):
+        problem = write(tmp_path / "p.json", PROBLEM)
+        output = str(tmp_path / "o.json")
+        proc = self.run_child("-m", "sumset_races", "build", problem, output)
         assert proc.returncode == 0
         assert "difference checks pass" in proc.stdout
+
+    def test_import_loads_no_unused_stdlib(self):
+        code = (
+            "import sys; before = set(sys.modules); import sumset_races.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = self.run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "sumset_races.cli" in loaded
+        assert [m for m in loaded for r in UNUSED_STDLIB if m == r or m.startswith(r + ".")] == []
 
     def test_usage_error_shares_exit_2(self):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,8 @@
-"""The x -> pixel map and its refusals."""
+"""The x -> pixel map, its refusals, and the XML escapers."""
 
 from fractions import Fraction as F
+from itertools import product
+from xml.sax import saxutils
 
 import pytest
 
@@ -12,7 +14,9 @@ from sumset_races.svg import (
     WIDTH,
     RenderRow,
     UndrawableError,
+    escape,
     layout,
+    quoteattr,
     render,
 )
 
@@ -57,3 +61,14 @@ class TestLayout:
         height = TOP_PAD + ROW_HEIGHT * 2 + BOTTOM_PAD
         assert f'width="{WIDTH}" height="{height}"' in doc.splitlines()[0]
         assert doc.count('<g class="row"') == 2
+
+
+# every character the escapers treat specially, plus three they leave alone
+ESCAPE_ALPHABET = ["a", "&", "<", ">", '"', "'", "\n", "\r", "\t", ";", " "]
+
+
+def test_escapers_match_the_standard_library():
+    texts = ["".join(t) for size in range(5) for t in product(ESCAPE_ALPHABET, repeat=size)]
+    assert len(texts) == 16105
+    assert [t for t in texts if escape(t) != saxutils.escape(t)] == []
+    assert [t for t in texts if quoteattr(t) != saxutils.quoteattr(t)] == []
