@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 file or schema problems (argparse usage errors
 share this code), 3 a verification check failed, 4 the race search
-exhausted its space without a witness. Any other exception is a fault in
-the program: it propagates with its traceback (exit 1), never as exit 2.
+exhausted its space without a witness. Every refusal of input is a
+``SchemaError``, which ``main`` alone maps to exit 2. Any other exception
+is a fault in the program: it propagates with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -14,32 +15,21 @@ import sys
 from typing import Optional, Sequence
 
 from . import serialization as ser
-from .construction import BuildBudgetError, build_sets, verify_differences
-from .discrete import check_race_bounds, search_race_sets
-from .intervals import grid_measure_oracle
+from .construction import build_sets, verify_differences
+from .discrete import search_race_sets
+from .intervals import MAX_FOLDS, grid_measure_oracle
 from .realization import realize, verify_tau_race
-from .svg import PALETTE, RenderRow, UndrawableError, render
+from .svg import PALETTE, RenderRow, render
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_VERIFY = 3
 EXIT_EXHAUSTED = 4
 
-MAX_PLOT_FOLDS = 64
-"""Largest ``plot --hmax``: the chart has one row per set and fold.
-
-Its size grows linearly with the folds drawn (the README's two-set build
-writes 94 KB at 64 folds). Like ``discrete.MAX_RACE_FOLDS``, 64 is 16
-times the deepest fold count in the benchmark catalogue.
-"""
-
 
 def _cmd_build(args: argparse.Namespace) -> int:
     diffs, theta = ser.load_problem(args.problem)
-    try:
-        result = build_sets(diffs, theta)
-    except BuildBudgetError as exc:
-        raise ser.SchemaError(str(exc)) from None
+    result = build_sets(diffs, theta)
     report = verify_differences(result.sets, diffs, theta)
     ser.write_json(args.output, ser.build_output_obj(result, report))
     if not report.all_ok:
@@ -76,10 +66,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_race(args: argparse.Namespace) -> int:
     targets = ser.load_race_targets(args.targets)
-    try:
-        check_race_bounds(args.ground, args.maxsize)
-    except ValueError as exc:
-        raise ser.SchemaError(str(exc)) from None
     witness = search_race_sets(targets, args.ground, args.maxsize)
     if witness is None:
         print(
@@ -99,8 +85,8 @@ def _cmd_race(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    if not 1 <= args.hmax <= MAX_PLOT_FOLDS:
-        raise ser.SchemaError(f"--hmax must lie between 1 and {MAX_PLOT_FOLDS}")
+    if not 1 <= args.hmax <= MAX_FOLDS:
+        raise ser.SchemaError(f"--hmax must lie between 1 and {MAX_FOLDS}")
     sets = ser.load_sets_file(args.sets)
     rows = []
     for i, s in enumerate(sets, start=1):
@@ -108,10 +94,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         for h, fold in enumerate(s.folds(args.hmax), start=1):
             label = f"A{i}" if h == 1 else f"{h}A{i}"
             rows.append(RenderRow(label=label, union=fold, color=color))
-    try:
-        doc = render(rows, title=f"{len(sets)} sets, folds up to {args.hmax}")
-    except UndrawableError as exc:
-        raise ser.SchemaError(str(exc)) from None
+    doc = render(rows, title=f"{len(sets)} sets, folds up to {args.hmax}")
     with open(args.svg, "w") as fh:
         fh.write(doc + "\n")
     print(f"wrote {args.svg} ({len(rows)} rows)")

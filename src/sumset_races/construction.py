@@ -23,7 +23,16 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
 
-from .intervals import Interval, IntervalUnion, Rational, _require_int, as_fraction
+from .intervals import (
+    MAX_FOLDS,
+    MAX_SETS,
+    Interval,
+    IntervalUnion,
+    Rational,
+    SchemaError,
+    _require_int,
+    as_fraction,
+)
 
 __all__ = [
     "InternalCheckError",
@@ -65,7 +74,7 @@ and |m| <= 50 can need (10,800, for rows alternating +50 and -50).
 """
 
 
-class BuildBudgetError(ValueError):
+class BuildBudgetError(SchemaError):
     """The targets need more carved gaps than ``MAX_BUILD_GAPS``."""
 
 
@@ -74,7 +83,8 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
 
     ``n`` is the number of sets the table describes, at least two; here
     one row per consecutive pair of sets, so rows + 1. Subclasses change
-    ``n`` and add rules of their own in ``_check``.
+    ``n`` and add rules of their own in ``_check``. More than ``MAX_SETS``
+    sets or ``MAX_FOLDS`` columns raise ``SchemaError``.
     """
 
     __slots__ = ()
@@ -88,6 +98,10 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
             raise ValueError("need at least two columns, for folds 1 and 2")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows must all have the same width")
+        if self.n > MAX_SETS:
+            raise SchemaError(f"{self.n} sets, more than the limit of {MAX_SETS} sets")
+        if self.H > MAX_FOLDS:
+            raise SchemaError(f"{self.H} folds, more than the limit of {MAX_FOLDS} folds")
         self._check()
         return self
 

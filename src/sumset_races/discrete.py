@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .intervals import _require_int
+from .intervals import MAX_FOLDS, MAX_SETS, SchemaError, _require_int
 
 IntSet = tuple[int, ...]
 
@@ -23,23 +23,6 @@ within it that was tried, ground 19 and maxsize 20 with 64 folds (524,288
 candidates, 10,902 profiles), takes about 13 s and 91 MB on a 2-vCPU VM.
 """
 
-MAX_RACE_SETS = 64
-"""Most sets one race may rank.
-
-The search recurses one level per set and its pairwise sign table holds
-about n**2 * H / 2 entries, so the limit keeps the depth far below the
-interpreter's recursion limit of 1000 (1000 tied sets overflowed it) and
-is about 20 times the widest catalogue shape (3 sets).
-"""
-
-MAX_RACE_FOLDS = 64
-"""Most folds one race may prescribe.
-
-Every candidate is folded once per fold, and so is every realized set, so
-the cost of a search and its check grows with this; it is 16 times the
-deepest catalogue shape (4 folds).
-"""
-
 __all__ = [
     "IntSet",
     "as_int_set",
@@ -49,8 +32,6 @@ __all__ = [
     "check_race_targets",
     "check_race_bounds",
     "MAX_RACE_CANDIDATES",
-    "MAX_RACE_SETS",
-    "MAX_RACE_FOLDS",
     "search_race_sets",
 ]
 
@@ -96,24 +77,24 @@ def is_rank_tuple(values: Sequence[int]) -> bool:
 def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
 
-    At most ``MAX_RACE_FOLDS`` tuples of at most ``MAX_RACE_SETS`` ranks.
-    Returns the targets as a list of tuples; raises ``ValueError`` otherwise.
+    At most ``MAX_FOLDS`` tuples of at most ``MAX_SETS`` ranks. Returns
+    the targets as a list of tuples; raises ``SchemaError`` otherwise.
     """
     goal = [tuple(t) for t in targets]
     if not goal:
-        raise ValueError("at least one rank tuple is required")
-    if len(goal) > MAX_RACE_FOLDS:
-        raise ValueError(f"{len(goal)} rank tuples, more than the limit of {MAX_RACE_FOLDS} folds")
+        raise SchemaError("at least one rank tuple is required")
+    if len(goal) > MAX_FOLDS:
+        raise SchemaError(f"{len(goal)} rank tuples, more than the limit of {MAX_FOLDS} folds")
     for t in goal:
         if not is_rank_tuple(t):
-            raise ValueError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
+            raise SchemaError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
     n = len(goal[0])
     if n < 2:
-        raise ValueError("a race needs at least two sets")
-    if n > MAX_RACE_SETS:
-        raise ValueError(f"rank tuples of length {n}, more than the limit of {MAX_RACE_SETS} sets")
+        raise SchemaError("a race needs at least two sets")
+    if n > MAX_SETS:
+        raise SchemaError(f"rank tuples of length {n}, more than the limit of {MAX_SETS} sets")
     if any(len(t) != n for t in goal):
-        raise ValueError("rank tuples must all have the same length")
+        raise SchemaError("rank tuples must all have the same length")
     return goal
 
 
@@ -124,15 +105,16 @@ def check_race_bounds(ground: int, maxsize: int) -> None:
     k elements of {1, ..., ground}). That count is summed before any
     candidate exists and the sum stops once it passes
     ``MAX_RACE_CANDIDATES``, so huge bounds are refused at once. Raises
-    ``TypeError`` for a non-int and ``ValueError`` otherwise.
+    ``TypeError`` for a non-int and ``SchemaError`` for any bound it refuses.
     """
-    _require_int(ground, "ground", lo=0)
-    _require_int(maxsize, "maxsize", lo=1)
+    for value, what, lo in ((ground, "ground", 0), (maxsize, "maxsize", 1)):
+        if _require_int(value, what) < lo:
+            raise SchemaError(f"{what} must be an integer >= {lo}, got {value}")
     total = 0
     for k in range(min(maxsize - 1, ground) + 1):
         total += comb(ground, k)
         if total > MAX_RACE_CANDIDATES:
-            raise ValueError(
+            raise SchemaError(
                 f"ground {ground} with maxsize {maxsize} gives more than "
                 f"{MAX_RACE_CANDIDATES} candidate sets; lower ground or maxsize"
             )
@@ -214,9 +196,9 @@ def search_race_sets(
     at most ``maxsize`` elements, enumerated by size then lexicographically.
     Returns the first matching tuple of sets in product order over that
     enumeration, or None once the space is exhausted. Exhaustion is a
-    normal outcome, not an error. Bounds whose space holds more than
-    ``MAX_RACE_CANDIDATES`` candidates raise ``ValueError`` before any
-    candidate is built.
+    normal outcome, not an error. Invalid targets or bounds, and bounds
+    whose space holds more than ``MAX_RACE_CANDIDATES`` candidates, raise
+    ``SchemaError`` before any candidate is built.
 
     Whether a choice matches depends only on each set's size profile
     (|1B|, ..., |HB|), so the search keeps the first candidate of each

@@ -43,12 +43,33 @@ from typing import Iterable, NamedTuple, Sequence, Union
 Rational = Union[Fraction, int]
 
 __all__ = [
+    "SchemaError",
+    "MAX_SETS",
+    "MAX_FOLDS",
     "Rational",
     "as_fraction",
     "Interval",
     "IntervalUnion",
     "grid_measure_oracle",
 ]
+
+
+class SchemaError(ValueError):
+    """Refused input: the package's one refusal type, which the CLI maps to exit 2."""
+
+
+MAX_SETS = 64
+"""Most sets a problem, sets file or race may hold: 8 times the widest benchmark shape.
+
+A build's telescoping checks grow as n**2 * H (1000 all-zero sets took
+9.5 s and 1 GB on a 2-vCPU VM) and the race search recurses once per set.
+"""
+
+MAX_FOLDS = 64
+"""Most folds a problem, race or ``plot --hmax`` may ask for: 8 times the deepest benchmark shape.
+
+``solve_steps`` checks itself in time quadratic in H (16,000 folds took 21 s).
+"""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -77,7 +98,7 @@ class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
     """Closed interval [lo, hi] with rational endpoints; lo == hi is a point.
 
     It is the ``(lo, hi)`` pair of Fractions, so it equals (and hashes as)
-    that tuple, as ``IntervalLike`` already takes such pairs for intervals.
+    that tuple, and ``IntervalUnion`` takes either for a part.
     """
 
     __slots__ = ()
@@ -96,15 +117,7 @@ class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
         return f"[{self.lo}, {self.hi}]"
 
 
-IntervalLike = Union[Interval, Sequence[Rational]]
 IntPairs = Sequence[Sequence[int]]
-
-
-def _as_interval(item: IntervalLike) -> Interval:
-    if isinstance(item, Interval):
-        return item
-    lo, hi = item
-    return Interval(lo, hi)
 
 
 class IntervalUnion:
@@ -124,8 +137,8 @@ class IntervalUnion:
 
     __slots__ = ("_scale", "_pairs", "_parts")
 
-    def __init__(self, intervals: Iterable[IntervalLike] = ()) -> None:
-        parts = [_as_interval(item) for item in intervals]
+    def __init__(self, intervals: Iterable[Sequence[Rational]] = ()) -> None:
+        parts = [Interval(lo, hi) for lo, hi in intervals]
         scale = math.lcm(*(end.denominator for p in parts for end in (p.lo, p.hi)))
         pairs = [
             (p.lo.numerator * (scale // p.lo.denominator), p.hi.numerator * (scale // p.hi.denominator))

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .construction import (
     BuildResult,
@@ -26,7 +25,7 @@ from .construction import (
     DifferenceReport,
 )
 from .discrete import IntSet, check_race_targets
-from .intervals import IntervalUnion, Rational, _require_int
+from .intervals import MAX_SETS, IntervalUnion, Rational, SchemaError, _require_int
 from .realization import TauRaceReport
 
 __all__ = [
@@ -44,19 +43,6 @@ __all__ = [
     "build_output_obj",
     "race_output_obj",
 ]
-
-
-class SchemaError(ValueError):
-    """The file or object does not follow the interchange format."""
-
-
-@contextmanager
-def _schema_errors() -> Iterator[None]:
-    """Report the library's TypeError/ValueError on file content as SchemaError."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
 
 
 MAX_NUMERAL_DIGITS = 1000
@@ -156,12 +142,12 @@ def union_from_obj(obj: Any) -> IntervalUnion:
 
 def read_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
+        return json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -224,9 +210,11 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
     for key in ("n", "H", "theta", "m"):
         if key not in data:
             raise SchemaError(f"problem file is missing {key!r}")
-    with _schema_errors():
+    try:
         n = _require_int(data["n"], "n", lo=2)
         H = _require_int(data["H"], "H", lo=2)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
     theta = parse_rational(data["theta"])
     if theta <= 0:
         raise SchemaError(f"theta must be positive, got {theta}")
@@ -235,8 +223,10 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
         raise SchemaError(f"m must be a list of n-1 = {n - 1} rows")
     if any(not isinstance(row, list) or len(row) != H for row in m):
         raise SchemaError(f"each m row must list H = {H} integers")
-    with _schema_errors():
+    try:  # the shape is checked above, so only an entry that is not an int is left
         diffs = DiffMatrix(tuple(tuple(row) for row in m))
+    except TypeError as exc:
+        raise SchemaError(str(exc)) from None
     for value in (theta.numerator, theta.denominator, *chain.from_iterable(diffs.rows)):
         _bounded(value, "a number in the problem file", _PROBLEM_LIMIT)
     return diffs, theta
@@ -250,6 +240,8 @@ def load_sets_file(path: str | Path) -> list[IntervalUnion]:
     sets_obj = data["sets"]
     if not isinstance(sets_obj, list) or not sets_obj:
         raise SchemaError("'sets' must be a nonempty list")
+    if len(sets_obj) > MAX_SETS:
+        raise SchemaError(f"{len(sets_obj)} sets, more than the limit of {MAX_SETS} sets")
     return [union_from_obj(item) for item in sets_obj]
 
 
@@ -264,8 +256,7 @@ def load_race_targets(path: str | Path) -> list[tuple[int, ...]]:
     for row in raw:
         if not isinstance(row, list):
             raise SchemaError(f"each target must be a list of ranks, got {row!r}")
-    with _schema_errors():
-        return check_race_targets(raw)
+    return check_race_targets(raw)
 
 
 def build_output_obj(result: BuildResult, report: DifferenceReport) -> dict:

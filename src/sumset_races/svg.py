@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .intervals import IntervalUnion, Rational
+from .intervals import IntervalUnion, Rational, SchemaError
 from .serialization import format_rational
 
 __all__ = ["PALETTE", "RenderRow", "UndrawableError", "layout", "render"]
@@ -56,7 +56,7 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-class UndrawableError(ValueError):
+class UndrawableError(SchemaError):
     """The chart is wider than the float range, or narrower than floats resolve."""
 
 

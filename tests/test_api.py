@@ -5,7 +5,18 @@ from fractions import Fraction as F
 import pytest
 
 import sumset_races
-from sumset_races import CarveMatrix, ConstructionParams, DiffMatrix, Interval, StepMatrix
+from sumset_races import (
+    CarveMatrix,
+    ConstructionParams,
+    DiffMatrix,
+    Interval,
+    StepMatrix,
+    search_race_sets,
+    serialization,
+)
+from sumset_races.construction import BuildBudgetError
+from sumset_races.intervals import MAX_FOLDS, MAX_SETS, SchemaError
+from sumset_races.svg import UndrawableError
 
 
 def test_public_names_are_pinned():
@@ -74,11 +85,38 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
          "gap multiplicities must be nonnegative"),
         (lambda: CarveMatrix(((1, 0), (0, 0))), ValueError,
          "every set must carve at least one gap"),
+        (lambda: DiffMatrix(((0, 0),) * MAX_SETS), SchemaError,
+         "65 sets, more than the limit of 64 sets"),
+        (lambda: DiffMatrix(((0,) * (MAX_FOLDS + 1),)), SchemaError,
+         "65 folds, more than the limit of 64 folds"),
+        (lambda: CarveMatrix(((1, 1),) * (MAX_SETS + 1)), SchemaError,
+         "65 sets, more than the limit of 64 sets"),
     ],
 )
 def test_value_types_refuse_bad_fields(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_tables_at_the_caps_construct():
+    # an all-zero build of this size takes over a second, so only the table is made
+    diffs = DiffMatrix(((0,) * MAX_FOLDS,) * (MAX_SETS - 1))
+    assert (diffs.n, diffs.H) == (MAX_SETS, MAX_FOLDS)
+    assert CarveMatrix(((1,) * MAX_FOLDS,) * MAX_SETS).n == MAX_SETS
+
+
+def test_every_refusal_is_one_schema_error():
+    assert serialization.SchemaError is SchemaError
+    assert issubclass(SchemaError, ValueError)
+    assert issubclass(BuildBudgetError, SchemaError)
+    assert issubclass(UndrawableError, SchemaError)
+    for ground, maxsize, message in [
+        (-1, 2, "ground must be an integer >= 0, got -1"),
+        (4, 0, "maxsize must be an integer >= 1, got 0"),
+        (10**9, 10**9, "candidate sets; lower ground or maxsize"),
+    ]:
+        with pytest.raises(SchemaError, match=message):
+            search_race_sets([(1, 2)], ground, maxsize)
 
 
 VALUES = [

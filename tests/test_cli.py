@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_races import cli, verify_tau_race
-from sumset_races.cli import MAX_PLOT_FOLDS, main
-from sumset_races.discrete import MAX_RACE_FOLDS, MAX_RACE_SETS
+from sumset_races.cli import main
+from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 from sumset_races.serialization import MAX_NUMERAL_DIGITS
 
 PROBLEM = {"n": 2, "H": 2, "theta": "1", "m": [[1, 0]]}
@@ -201,18 +202,18 @@ class TestRace:
 
     def test_tied_sets_at_the_bound_reach_a_verdict(self, tmp_path):
         output = str(tmp_path / "o.json")
-        at = write(tmp_path / "t.json", {"targets": [[1] * MAX_RACE_SETS]})
+        at = write(tmp_path / "t.json", {"targets": [[1] * MAX_SETS]})
         assert main(["race", at, output, "--ground", "3", "--maxsize", "2"]) == 0
-        assert len(json.loads(Path(output).read_text())["witness"]) == MAX_RACE_SETS
-        over = write(tmp_path / "u.json", {"targets": [[1] * (MAX_RACE_SETS + 1)]})
+        assert len(json.loads(Path(output).read_text())["witness"]) == MAX_SETS
+        over = write(tmp_path / "u.json", {"targets": [[1] * (MAX_SETS + 1)]})
         assert main(["race", over, output, "--ground", "3", "--maxsize", "2"]) == 2
 
     def test_folds_at_the_bound_reach_a_verdict(self, tmp_path):
         output = str(tmp_path / "o.json")
-        at = write(tmp_path / "t.json", {"targets": [[1, 2]] * MAX_RACE_FOLDS})
+        at = write(tmp_path / "t.json", {"targets": [[1, 2]] * MAX_FOLDS})
         assert main(["race", at, output, "--ground", "3", "--maxsize", "2"]) == 0
-        assert json.loads(Path(output).read_text())["H"] == MAX_RACE_FOLDS
-        over = write(tmp_path / "u.json", {"targets": [[1, 2]] * (MAX_RACE_FOLDS + 1)})
+        assert json.loads(Path(output).read_text())["H"] == MAX_FOLDS
+        over = write(tmp_path / "u.json", {"targets": [[1, 2]] * (MAX_FOLDS + 1)})
         assert main(["race", over, output, "--ground", "3", "--maxsize", "2"]) == 2
 
 
@@ -237,11 +238,11 @@ class TestPlot:
     def test_hmax_above_limit_exits_2_before_loading(self, tmp_path, capsys):
         # a missing sets file shows whether --hmax was checked before the load
         missing, svg_path = str(tmp_path / "missing.json"), tmp_path / "x.svg"
-        hmax = str(MAX_PLOT_FOLDS + 1)
+        hmax = str(MAX_FOLDS + 1)
         assert main(["plot", missing, str(svg_path), "--hmax", hmax]) == 2
-        refusal = f"schema error: --hmax must lie between 1 and {MAX_PLOT_FOLDS}"
+        refusal = f"schema error: --hmax must lie between 1 and {MAX_FOLDS}"
         assert refusal in capsys.readouterr().err
-        assert main(["plot", missing, str(svg_path), "--hmax", str(MAX_PLOT_FOLDS)]) == 2
+        assert main(["plot", missing, str(svg_path), "--hmax", str(MAX_FOLDS)]) == 2
         assert "schema error: cannot read" in capsys.readouterr().err
         assert not svg_path.exists()
 
@@ -287,6 +288,55 @@ class TestOracle:
         _, output = built
         assert main(["oracle", output, "--grid-step", "0"]) == 2
         assert main(["oracle", output, "--grid-step", "0.5"]) == 2
+
+
+class TestRefusals:
+    """Inputs that once ran for seconds, or crashed, are refused with exit 2 at once."""
+
+    def refused(self, argv, capsys, message):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unparseable_bytes_exit_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        output = tmp_path / "o.json"
+        message = f"schema error: {bad} is not valid JSON"
+        self.refused(["race", str(bad), str(output)], capsys, message)
+        self.refused(["oracle", str(bad)], capsys, message)
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "n, H, message",
+        [
+            (1000, 2, "1000 sets, more than the limit of 64 sets"),  # a table of n**2 * H checks
+            (2, 16_000, "16000 folds, more than the limit of 64 folds"),  # a self-check in H**2
+        ],
+        ids=["sets", "folds"],
+    )
+    def test_oversized_problem_exits_2(self, built, tmp_path, capsys, n, H, message):
+        obj = {"n": n, "H": H, "theta": "1", "m": [[0] * H] * (n - 1)}
+        problem = write(tmp_path / "p.json", obj)
+        output = tmp_path / "o.json"
+        self.refused(["build", problem, str(output)], capsys, f"schema error: {message}")
+        assert not output.exists()
+        self.refused(["verify", built[1], problem], capsys, f"schema error: {message}")
+
+    def test_oversized_sets_file_exits_2(self, tmp_path, capsys):
+        # 2000 one-part sets drawn at 64 folds made a chart of 128,000 rows
+        sets = write(tmp_path / "s.json", {"sets": [[[str(i), str(i)]] for i in range(2000)]})
+        svg_path = tmp_path / "x.svg"
+        message = "schema error: 2000 sets, more than the limit of 64 sets"
+        self.refused(["plot", sets, str(svg_path), "--hmax", "64"], capsys, message)
+        assert not svg_path.exists()
+        self.refused(["oracle", sets], capsys, message)
 
 
 def primes_above(lo, count):

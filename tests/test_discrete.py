@@ -13,13 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
-from sumset_races.discrete import (
-    MAX_RACE_CANDIDATES,
-    MAX_RACE_FOLDS,
-    MAX_RACE_SETS,
-    _profile_table,
-    check_race_bounds,
-)
+from sumset_races.discrete import MAX_RACE_CANDIDATES, _profile_table, check_race_bounds
+from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 
 from conftest import reference_search_race_sets
 
@@ -162,9 +157,9 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_race_sets([], 4, 2)
         with pytest.raises(ValueError, match="limit of 64 sets"):
-            search_race_sets([(1,) * (MAX_RACE_SETS + 1)], 4, 2)
+            search_race_sets([(1,) * (MAX_SETS + 1)], 4, 2)
         with pytest.raises(ValueError, match="limit of 64 folds"):
-            search_race_sets([(1, 2)] * (MAX_RACE_FOLDS + 1), 4, 2)
+            search_race_sets([(1, 2)] * (MAX_FOLDS + 1), 4, 2)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,11 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             Interval(1, 0)
 
+    @pytest.mark.parametrize("item", [(0, 1, 2), (0,), ()])
+    def test_union_rejects_a_part_of_the_wrong_length(self, item):
+        with pytest.raises(ValueError, match="values to unpack"):
+            IntervalUnion([(0, 1), item])
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Interval(0.5, 1)

@@ -17,6 +17,7 @@ from sumset_races import (
     verify_differences,
     verify_tau_race,
 )
+from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 from sumset_races.serialization import (
     SchemaError,
     build_output_obj,
@@ -195,6 +196,41 @@ class TestProblemFiles:
         bad.write_text("{not json")
         with pytest.raises(SchemaError):
             read_json(bad)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff", "codec can't decode"), (b"[" * 100_000 + b"]" * 100_000, "recursion")],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unparseable_bytes_are_not_valid_json(self, tmp_path, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(SchemaError) as err:
+            read_json(bad)
+        assert str(err.value).startswith(f"{bad} is not valid JSON: ")
+        assert reason in str(err.value)
+
+    def test_sets_and_folds_are_capped(self, tmp_path):
+        row = [0] * MAX_FOLDS
+        at = {"n": MAX_SETS, "H": MAX_FOLDS, "theta": "1", "m": [row] * (MAX_SETS - 1)}
+        assert load_problem(self.write(tmp_path, at))[0].n == MAX_SETS
+        wide = {"n": MAX_SETS + 1, "H": 2, "theta": "1", "m": [[0, 0]] * MAX_SETS}
+        with pytest.raises(SchemaError, match="65 sets, more than the limit of 64 sets"):
+            load_problem(self.write(tmp_path, wide))
+        deep = {"n": 2, "H": MAX_FOLDS + 1, "theta": "1", "m": [[0] * (MAX_FOLDS + 1)]}
+        with pytest.raises(SchemaError, match="65 folds, more than the limit of 64 folds"):
+            load_problem(self.write(tmp_path, deep))
+
+
+class TestSetsFiles:
+    def test_sets_are_capped_before_any_union_is_parsed(self, tmp_path):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"sets": [[["0", "1"]]] * MAX_SETS}))
+        assert len(load_sets_file(path)) == MAX_SETS
+        # the endpoint that cannot parse is never reached
+        path.write_text(json.dumps({"sets": [[["0", "1"]]] * MAX_SETS + [[["x", "1"]]]}))
+        with pytest.raises(SchemaError, match="65 sets, more than the limit of 64 sets"):
+            load_sets_file(path)
 
 
 class TestTargetsFiles:
