@@ -128,8 +128,7 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
     the order of their first candidates. Sizes past ground + 1 hold no set.
     """
     top = min(maxsize, ground + 1)
-    firsts: list[dict[tuple[int, ...], IntSet]] = [{(1,) * horizon: (0,)}]
-    firsts += [{} for _ in range(top - 1)]
+    firsts: dict[tuple[int, ...], IntSet] = {(1,) * horizon: (0,)}
 
     # Depth first over the sets, each extended only by elements above its
     # maximum, reaches the sets of one size in lexicographic order. Each fold
@@ -144,24 +143,19 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
             # of its size and profile that is lexicographically smaller, so
             # that profile was recorded first.
             start = base[-1] + base[1]
-        seen = firsts[size - 1]
         for x in range(start, ground + 1):
             child, prev = [], 1
             for fold in folds:
                 prev = fold | (prev << x)
                 child.append(prev)
             cand = base + (x,)
-            seen.setdefault(tuple(map(int.bit_count, child)), cand)
+            firsts.setdefault(tuple(map(int.bit_count, child)), cand)
             if not leaf:
                 grow(cand, child)
 
     if top > 1:
         grow((0,), [1] * horizon)
-    table: dict[tuple[int, ...], IntSet] = {}
-    for seen in firsts:
-        for profile, cand in seen.items():
-            table.setdefault(profile, cand)
-    return table
+    return dict(sorted(firsts.items(), key=lambda item: (len(item[1]), item[1])))
 
 
 def _bound_masks(column: list[int]) -> list[int]:
@@ -210,11 +204,12 @@ def search_race_sets(
 
     The profile table walks the sets depth first, each child B + {x} (x
     above max B) folded from its parent with one shift-OR per fold, and
-    keeps the first set of each profile per size; the per-size tables,
-    merged in size order, list profiles as the (size, lex) enumeration
-    meets them. Sets of the largest size are leaves, and one whose mirror
-    max B - B is lexicographically smaller is skipped unfolded: the mirror
-    has the same profile and came first.
+    keeps the first set of each profile. A profile fixes its sets' size
+    (|1B| = |B|) and the walk meets the sets of one size in lexicographic
+    order, so the table, sorted once by (size, set), lists profiles as the
+    (size, lex) enumeration meets them. Sets of the largest size are
+    leaves, and one whose mirror max B - B is lexicographically smaller is
+    skipped unfolded: the mirror has the same profile and came first.
 
     The depth-first search numbers profiles in table order. For each fold
     h and value v it holds the bitmask of the profiles with |hB| <= v; the

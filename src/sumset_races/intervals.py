@@ -234,10 +234,6 @@ class IntervalUnion:
         a negative scale reverses their order and swaps each part's ends.
         """
         s = as_fraction(scale)
-        if self.is_empty:
-            return self
-        if s == 0:
-            return IntervalUnion._from_pairs(1, [(0, 0)])
         num = s.numerator
         pairs = [(lo * num, hi * num) for lo, hi in self._pairs]
         if num < 0:
@@ -292,8 +288,6 @@ class IntervalUnion:
         are merged again). Both operands are sorted, so one pass over the
         parts walks the gaps forward once.
         """
-        if not self._pairs or not other._pairs:
-            return self
         scale = math.lcm(self._scale, other._scale)
         gaps = _rescaled(other, scale)
         pieces = []
@@ -314,8 +308,6 @@ class IntervalUnion:
         return IntervalUnion._from_pairs(scale, pieces)
 
     def __repr__(self) -> str:
-        if not self._pairs:
-            return "IntervalUnion()"
         return "IntervalUnion(" + " | ".join(repr(p) for p in self.parts) + ")"
 
 

@@ -72,11 +72,8 @@ def layout(rows: list[RenderRow]) -> tuple[Rational, float]:
     if len(set(labels)) != len(labels):
         raise ValueError("row labels must be unique")
     spans = {row.label: row.union.bounds() for row in rows if not row.union.is_empty}
-    if spans:
-        xmin = min(lo for lo, _ in spans.values())
-        xmax = max(hi for _, hi in spans.values())
-    else:
-        xmin, xmax = 0, 1
+    xmin = min((lo for lo, _ in spans.values()), default=0)
+    xmax = max((hi for _, hi in spans.values()), default=0)
     if xmin == xmax:
         xmax = xmin + 1
     try:

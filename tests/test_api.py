@@ -10,6 +10,7 @@ from sumset_races import (
     ConstructionParams,
     DiffMatrix,
     Interval,
+    IntervalUnion,
     StepMatrix,
     search_race_sets,
     serialization,
@@ -147,6 +148,8 @@ def test_equal_values_compare_and_hash_equal(make, field):
 def test_value_reprs():
     assert repr(Interval(0, 1)) == "[0, 1]"
     assert repr(Interval(F(-1, 2), 3)) == "[-1/2, 3]"
+    assert repr(IntervalUnion([(0, 1), (F(5, 2), 3)])) == "IntervalUnion([0, 1] | [5/2, 3])"
+    assert repr(IntervalUnion()) == "IntervalUnion()"
     assert repr(StepMatrix(((1, -2),))) == "StepMatrix(rows=((1, -2),))"
     assert repr(ConstructionParams(**PARAMS)).startswith("ConstructionParams(eps=Fraction(1, 4), ")
 

@@ -217,9 +217,10 @@ def reference_profile_table(ground, maxsize, horizon):
 @given(st.integers(0, 12), st.integers(1, 6), st.integers(1, 8))
 def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
     # same profiles, same first candidates, in the same order
-    assert list(_profile_table(ground, maxsize, horizon).items()) == list(
-        reference_profile_table(ground, maxsize, horizon).items()
-    )
+    table = _profile_table(ground, maxsize, horizon)
+    assert list(table.items()) == list(reference_profile_table(ground, maxsize, horizon).items())
+    # |1B| = |B|, so a profile fixes its candidates' size
+    assert all(profile[0] == len(cand) for profile, cand in table.items())
 
 
 def test_profile_table_memory_stays_small():

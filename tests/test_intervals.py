@@ -167,7 +167,9 @@ class TestDilateTranslate:
 
     def test_dilate_zero_collapses_to_origin(self):
         assert U((1, 2)).dilate(0) == U((0, 0))
-        assert IntervalUnion().dilate(0).is_empty
+        assert U((1, 2), (4, 5)).dilate(0) == U((0, 0))
+        for scale in (0, -2, F(3, 2)):
+            assert IntervalUnion().dilate(scale) == IntervalUnion()
 
     def test_translate(self):
         assert U((0, 1)).translate(F(5, 2)) == U((F(5, 2), F(7, 2)))
@@ -191,6 +193,7 @@ class TestSubtract:
 
     def test_subtract_from_empty(self):
         assert IntervalUnion().subtract(U((0, 1))).is_empty
+        assert IntervalUnion().subtract(IntervalUnion()) == IntervalUnion()
 
     def test_full_open_cover_leaves_the_endpoints(self):
         assert U((0, 1)).subtract(U((0, 1))) == U((0, 0), (1, 1))

@@ -56,6 +56,11 @@ class TestLayout:
         with pytest.raises(UndrawableError, match="row 'thin'"):
             layout([row("empty"), row("thin", (0, F(1, 10**400)))])
 
+    def test_empty_rows_span_zero_to_one(self):
+        assert layout([row("A"), row("B")]) == (0, 864.0)
+        doc = render([row("A"), row("B")])
+        assert doc.count('<g class="row"') == 2
+
     def test_render_takes_the_rows(self):
         doc = render([row("A", (0, 1)), row("B")], title="t")
         height = TOP_PAD + ROW_HEIGHT * 2 + BOTTOM_PAD
