@@ -86,13 +86,14 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
     ``n`` is the number of sets the table describes, at least two; here
     one row per consecutive pair of sets, so rows + 1. Subclasses change
     ``n`` and may extend ``__new__`` with rules of their own. More than
-    ``MAX_SETS`` sets or ``MAX_FOLDS`` columns raise ``SchemaError``.
+    ``MAX_SETS`` sets or ``MAX_FOLDS`` columns raise ``SchemaError``, checked
+    before any entry is.
     """
 
     __slots__ = ()
 
     def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
-        rows = tuple(tuple(_require_int(v, "table entry") for v in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         self = super().__new__(cls, rows)
         if self.n < 2:
             raise ValueError(f"need rows for at least two sets, got {len(rows)} rows")
@@ -104,6 +105,9 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
             raise SchemaError(f"{self.n} sets, more than the limit of {MAX_SETS} sets")
         if self.H > MAX_FOLDS:
             raise SchemaError(f"{self.H} folds, more than the limit of {MAX_FOLDS} folds")
+        for row in rows:  # entries last: an oversized table is refused before they are read
+            for v in row:
+                _require_int(v, "table entry")
         return self
 
     @property
@@ -293,7 +297,9 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
 
     Every anchor, gap end and block end is an integer multiple of 1/D for
     D = lcm(den eps, den delta), so the kept pieces between the gaps are
-    written straight onto that grid, in order, with no merge.
+    written straight onto that grid, in order, with no merge. The last gap
+    ends at 1 + eps + (2*H*total + r_max)*delta, for r_max the widest class
+    carved, so it is refused up front unless that lies below 2 - 2eps.
     """
     clean = tuple(_require_int(v, "gap count", lo=0) for v in counts)
     if len(clean) != params.H:
@@ -302,8 +308,9 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
     if total == 0:
         raise ValueError("at least one gap must be carved")
     eps, delta, H = params.eps, params.delta, params.H
-    if delta > (1 - 3 * eps) / (2 * H * total):
-        raise ValueError(f"delta {delta} too coarse to place {total} gaps in the block")
+    r_max = max(r for r, count in enumerate(clean, start=1) if count)
+    if (2 * H * total + r_max) * delta >= 1 - 3 * eps:
+        raise ValueError(f"delta {delta} leaves no room for {total} gaps in the block")
     grid = math.lcm(eps.denominator, delta.denominator)
     unit = delta.numerator * (grid // delta.denominator)  # delta * grid
     eps_units = eps.numerator * (grid // eps.denominator)
@@ -314,8 +321,6 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
         for _ in range(count):
             anchor += 2 * H * unit
             gaps.append((anchor, anchor + r * unit))
-    if gaps[-1][1] >= block_top:
-        raise ValueError("params leave no room: the last gap would reach the block's end")
     starts = [block_lo] + [hi for _, hi in gaps]
     ends = [lo for lo, _ in gaps] + [block_top]
     return CarvedBlock(counts=clean, kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))))

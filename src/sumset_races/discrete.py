@@ -11,13 +11,16 @@ from .intervals import MAX_FOLDS, MAX_SETS, SchemaError, _require_int
 IntSet = tuple[int, ...]
 
 MAX_RACE_CANDIDATES = 1_000_000
-"""Largest candidate space one race search may enumerate.
+"""Largest candidate space one race search may enumerate into its profile table.
 
 The profile table folds each candidate once, from its parent, with one
 shift-OR per fold, so its time grows with candidates times folds while it
 holds only the distinct profiles; the search then holds, per fold, one
-bitmask over the profiles for each value their sizes take. Far above the
-spaces the benchmark catalogue and the CLI defaults use (6885 candidates
+bitmask over the profiles for each value their sizes take. The
+depth-first search over the n sets that follows is not bounded by this
+limit: at ground 16, maxsize 7 (14,893 candidates, 206 profiles over 3
+folds) the targets ``[[1, 2, ..., 10]] * 3`` take about 45 s to exhaust.
+Far above the spaces the benchmark catalogue and the CLI defaults use (6885 candidates
 at ground 16, maxsize 6; 794 at ground 12, maxsize 5). The heaviest shape
 within it that was tried, ground 19 and maxsize 20 with 64 folds (524,288
 candidates, 10,902 profiles), takes about 13 s and 91 MB on a 2-vCPU VM.
@@ -78,16 +81,15 @@ def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
 
     At most ``MAX_FOLDS`` tuples of at most ``MAX_SETS`` ranks. Returns
-    the targets as a list of tuples; raises ``SchemaError`` otherwise.
+    the targets as a list of tuples; raises ``SchemaError`` otherwise. The
+    counts and lengths are checked before any entry, so an oversized
+    target is refused without ranking it.
     """
     goal = [tuple(t) for t in targets]
     if not goal:
         raise SchemaError("at least one rank tuple is required")
     if len(goal) > MAX_FOLDS:
         raise SchemaError(f"{len(goal)} rank tuples, more than the limit of {MAX_FOLDS} folds")
-    for t in goal:
-        if not is_rank_tuple(t):
-            raise SchemaError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
     n = len(goal[0])
     if n < 2:
         raise SchemaError("a race needs at least two sets")
@@ -95,6 +97,9 @@ def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]
         raise SchemaError(f"rank tuples of length {n}, more than the limit of {MAX_SETS} sets")
     if any(len(t) != n for t in goal):
         raise SchemaError("rank tuples must all have the same length")
+    for t in goal:
+        if not is_rank_tuple(t):
+            raise SchemaError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
     return goal
 
 
@@ -161,20 +166,18 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
 def _bound_masks(column: list[int]) -> list[int]:
     """For v in 0..max(column), the bitmask of {i : column[i] <= v}.
 
-    A mask is built once per value present, from a byte buffer, so the cost
-    is one pass over len(column) bits per distinct value; equal neighbours
-    share one int. The mask of {i : column[i] >= v} is the complement of
-    entry v - 1 within all profiles, so it is not stored.
+    The mask of {i : column[i] == v} is accumulated value by value, and a
+    new int is made only at values present, so equal neighbours share one
+    int. The mask of {i : column[i] >= v} is the complement of entry v - 1
+    within all profiles, so it is not stored.
     """
-    groups: list[list[int]] = [[] for _ in range(max(column) + 1)]
+    exact = [0] * (max(column) + 1)
     for i, v in enumerate(column):
-        groups[v].append(i)
-    bits, mask, out = bytearray(len(column) // 8 + 1), 0, []
-    for members in groups:
-        if members:
-            for i in members:
-                bits[i >> 3] |= 1 << (i & 7)
-            mask = int.from_bytes(bits, "little")
+        exact[v] |= 1 << i
+    mask, out = 0, []
+    for bits in exact:
+        if bits:
+            mask |= bits
         out.append(mask)
     return out
 

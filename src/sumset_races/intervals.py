@@ -12,10 +12,10 @@ constructor takes ``Interval``s or ``(lo, hi)`` pairs of ints and
 Fractions, and ``parts``, ``bounds`` and the measures return Fractions.
 Floats are refused.
 
-A Minkowski sum A + B is the union, over the parts [lo, lo + L] of B, of
-A thickened by L and shifted by lo; thickening by L fills exactly the gaps
-of A no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. The integer kernel ``_int_sum`` groups B's
+A Minkowski sum A + B is the union, over the parts [lo, lo + L] of A, of
+B thickened by L and shifted by lo; thickening by L fills exactly the gaps
+of B no wider than L, so the sum costs what its output costs rather than
+one piece per pair of parts. The integer kernel ``_int_sum`` groups A's
 parts by length, takes each thickening from a ``_Thickenings`` memo and
 adds a group's shifts to the thickening's starts and ends with C-level
 ``map``. ``_merged``, the one merge routine, then sorts the starts and
@@ -399,29 +399,22 @@ def _int_sum(
 ) -> list[tuple[int, int]]:
     """Minkowski sum of two canonical unions given as sorted integer pairs.
 
-    For a part [lo, lo + L] of one operand, ``A + [lo, lo + L]`` is the
-    other operand A thickened by L and shifted by lo: each gap of A of
-    width at most L fills and each part stretches right by L. Every part
-    of the iterated operand emits at least one piece, so the operand with
-    fewer parts is iterated and the other thickened; ``thickened_b``, when
-    given, is ``_Thickenings(b)`` kept by the caller, as a ladder keeps
-    A's for all its rungs. The iterated parts are grouped by length, each
-    distinct L is thickened once, and a group's pieces are its shifts
-    added to the thickening's starts and ends with C-level ``map``,
-    looping over whichever of the shifts and the thickening's pieces is
-    shorter. So the work follows the output rather than the p*q part
-    pairs. ``_merged`` sorts and merges the pieces, touching ones included.
+    For a part [lo, lo + L] of ``a``, ``[lo, lo + L] + b`` is b thickened
+    by L and shifted by lo: each gap of b of width at most L fills and each
+    part stretches right by L. ``thickened_b``, when given, is
+    ``_Thickenings(b)`` kept by the caller, as a ladder keeps A's for all
+    its rungs. The parts of ``a`` are grouped by length, each distinct L
+    is thickened once, and a group's pieces are its shifts added to the
+    thickening's starts and ends with C-level ``map``, looping over
+    whichever of the shifts and the thickening's pieces is shorter. So the
+    work follows the output rather than the p*q part pairs. ``_merged``
+    sorts and merges the pieces, touching ones included.
     """
     if not a or not b:
         return []
-    if len(b) >= len(a):
-        other = a
-        thickened = _Thickenings(b) if thickened_b is None else thickened_b
-    else:
-        other = b
-        thickened = _Thickenings(a)
+    thickened = _Thickenings(b) if thickened_b is None else thickened_b
     shifts_by_length: dict[int, list[int]] = {}
-    for lo, hi in other:
+    for lo, hi in a:
         shifts_by_length.setdefault(hi - lo, []).append(lo)
     starts: list[int] = []
     ends: list[int] = []

@@ -72,7 +72,7 @@ def _bounded(value: int, what: str, limit: int = _NUMERAL_LIMIT) -> int:
     return value
 
 
-_RATIONAL = re.compile(r"^-?\d+(?:/[1-9][0-9]*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def format_rational(value: Rational, scale: int = 1) -> str:
@@ -94,7 +94,7 @@ def _parse_ratio(obj: Any) -> tuple[int, int]:
     """
     if isinstance(obj, int) and not isinstance(obj, bool):
         return _bounded(obj, "an integer"), 1
-    if isinstance(obj, str) and _RATIONAL.match(obj):
+    if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
         num, _, den = obj.partition("/")
         # checked on the text, before int() meets the interpreter's digit limit
         if max(len(num.lstrip("-")), len(den)) > MAX_NUMERAL_DIGITS:
@@ -179,13 +179,9 @@ def _encode(obj: Any, newline: str, chunks: list[str]) -> None:
             chunks.append("[]")
             return
         inner = newline + "  "
-        separator = "," + inner
-        try:  # a list of strings, such as a part's [lo, hi], in one C-level join
-            chunks.append("[" + inner + separator.join(map(encode_basestring_ascii, obj)))
-        except TypeError:  # some item is not a str
-            for i, item in enumerate(obj):
-                chunks.append(separator if i else "[" + inner)
-                _encode(item, inner, chunks)
+        for i, item in enumerate(obj):
+            chunks.append(("," if i else "[") + inner)
+            _encode(item, inner, chunks)
         chunks.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:

@@ -92,6 +92,9 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
          "65 folds, more than the limit of 64 folds"),
         (lambda: CarveMatrix(((1, 1),) * (MAX_SETS + 1)), SchemaError,
          "65 sets, more than the limit of 64 sets"),
+        # the caps come before the entries are checked
+        (lambda: DiffMatrix(((0, 0.5),) * MAX_SETS), SchemaError,
+         "65 sets, more than the limit of 64 sets"),
     ],
 )
 def test_value_types_refuse_bad_fields(make, error, message):

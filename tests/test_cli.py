@@ -82,6 +82,11 @@ class TestBuild:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "absent.json"), str(tmp_path / "o.json")]) == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        problem = write(tmp_path / "p.json", PROBLEM)
+        assert main(["build", problem, str(tmp_path / "missing" / "o.json")]) == 2
+        assert capsys.readouterr().err.startswith("file error:")
+
     def test_gap_budget_is_a_schema_error(self, tmp_path, capsys):
         problem = write(tmp_path / "p.json", {"n": 2, "H": 2, "theta": "1", "m": [[10**9, 0]]})
         output = tmp_path / "o.json"

@@ -217,6 +217,11 @@ class TestCarve:
             carve([-1, 2], params)
         with pytest.raises(ValueError):
             carve([5, 5], params)  # delta was chosen for a single gap
+        # (2H * total) * delta = 1 - 3eps exactly: the last anchor fits, its gap does not
+        tight = ConstructionParams(eps=F(1, 4), delta=F(1, 16), c=4, H=2, n=2)
+        for counts in ([0, 1], [1, 0]):
+            with pytest.raises(ValueError):
+                carve(counts, tight)
 
 
 class TestThickenedMeasure:

@@ -161,6 +161,10 @@ class TestSearch:
         with pytest.raises(ValueError, match="limit of 64 folds"):
             search_race_sets([(1, 2)] * (MAX_FOLDS + 1), 4, 2)
 
+    def test_oversized_target_is_refused_before_it_is_ranked(self):
+        with pytest.raises(ValueError, match="limit of 64 sets"):
+            search_race_sets([(1, 3) * ((MAX_SETS + 1) // 2) + (1,)], 4, 2)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             search_race_sets([(1, 2)], -1, 2)

@@ -104,6 +104,10 @@ class TestMinkowskiSum:
     def test_known_shift(self):
         assert U((1, 2)) + U((10, 10)) == U((11, 12))
 
+    def test_sum_with_a_non_union_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            IntervalUnion() + 1
+
 
 class TestHfold:
     def test_single_fold_is_identity(self):

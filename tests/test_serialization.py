@@ -45,7 +45,11 @@ class TestRationals:
     def test_plain_ints_are_accepted(self):
         assert parse_rational(7) == 7
 
-    @pytest.mark.parametrize("bad", ["1.5", 1.5, "3/-4", "1/0", "a", "", True, None, [1]])
+    @pytest.mark.parametrize(
+        "bad",
+        # a trailing newline, and decimal digits that are not ASCII, are not numerals
+        ["1.5", 1.5, "3/-4", "1/0", "a", "", True, None, [1], "1/2\n", "\u0663/4", "\uff11"],
+    )
     def test_rejects_anything_inexact_or_malformed(self, bad):
         with pytest.raises(SchemaError):
             parse_rational(bad)
@@ -259,6 +263,11 @@ class TestTargetsFiles:
     def test_rejects_schema_violations(self, tmp_path, obj):
         with pytest.raises(SchemaError):
             load_race_targets(self.write(tmp_path, obj))
+
+    def test_rejects_a_target_that_is_not_a_list(self, tmp_path):
+        path = self.write(tmp_path, {"targets": [[1, 2], 3]})
+        with pytest.raises(SchemaError, match="each target must be a list of ranks, got 3"):
+            load_race_targets(path)
 
 
 class TestOutputObjects:

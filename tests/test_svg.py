@@ -61,6 +61,11 @@ class TestLayout:
         doc = render([row("A"), row("B")])
         assert doc.count('<g class="row"') == 2
 
+    def test_point_part_is_a_circle(self):
+        doc = render([row("A1", (0, 1), (2, 2))])
+        assert doc.count("<circle ") == 1
+        assert "<title>A1: [2, 2]</title></circle>" in doc
+
     def test_render_takes_the_rows(self):
         doc = render([row("A", (0, 1)), row("B")], title="t")
         height = TOP_PAD + ROW_HEIGHT * 2 + BOTTOM_PAD
