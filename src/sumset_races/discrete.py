@@ -23,7 +23,7 @@ folds) the targets ``[[1, 2, ..., 10]] * 3`` take about 45 s to exhaust.
 Far above the spaces the benchmark catalogue and the CLI defaults use (6885 candidates
 at ground 16, maxsize 6; 794 at ground 12, maxsize 5). The heaviest shape
 within it that was tried, ground 19 and maxsize 20 with 64 folds (524,288
-candidates, 10,902 profiles), takes about 13 s and 91 MB on a 2-vCPU VM.
+candidates, 10,902 profiles), takes about 12 s and 67 MB on a 2-vCPU VM.
 """
 
 __all__ = [

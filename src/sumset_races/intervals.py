@@ -15,11 +15,12 @@ Floats are refused.
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of A, of
 B thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of B no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. The integer kernel ``_int_sum`` groups A's
-parts by length, takes each thickening from a ``_Thickenings`` memo and
-adds a group's shifts to the thickening's starts and ends with C-level
-``map``. ``_merged``, the one merge routine, then sorts the starts and
-the ends separately and cuts wherever an end falls below the next start.
+one piece per pair of parts. ``_Thickenings`` lists B's gaps widest first,
+so every thickening is a prefix of two fixed lists. The integer kernel
+``_int_sum`` groups A's parts by how many gaps their length leaves open
+and adds each group's shifts to that prefix with C-level ``map``.
+``_merged``, the one merge routine, then sorts the starts and the ends
+separately and cuts wherever an end falls below the next start.
 
 Every fold routine climbs one ladder, hA = (h-1)A + A, built by
 ``_fold_ladder``, and every rung is one call of ``_int_sum``. A's scale
@@ -268,8 +269,8 @@ class IntervalUnion:
         is also a common denominator of every hA, since hA's endpoints are
         sums of A's, so the ladder climbs on A's integer pairs, one
         ``_int_sum`` per rung, and each measure is one ``Fraction`` over a
-        fold's integer lengths. A's thickenings are built once and shared
-        by every rung.
+        fold's integer lengths. A's ``_Thickenings`` (two lists in gap-width
+        order) is built once and shared by every rung.
         """
         thickened = _Thickenings(self._pairs) if self._pairs else None
         ladder = _fold_ladder(self._pairs, H, lambda prev, a: _int_sum(prev, a, thickened))
@@ -346,38 +347,30 @@ def _merged(starts: list[int], ends: list[int]) -> list[tuple[int, int]]:
     return list(zip([starts[0], *compress(later, apart)], [*compress(ends, apart), ends[-1]]))
 
 
-class _Thickenings(dict):
-    """Maps L to the pieces of ``parts + [0, L]`` as (starts, ends) lists, built once per L.
+class _Thickenings:
+    """The pieces of ``parts + [0, L]``, for every L, as prefixes of two lists built once.
 
     ``parts`` are sorted, disjoint integer pairs. Thickening by L fills
     exactly the gaps of width at most L, so the thickened parts start at
     the first part's start and at the right end of every gap wider than L,
-    and end L past the left end of every such gap and past the last part.
-    With the gaps sorted once by decreasing width, those wider than L are
-    a prefix of that order, found by bisection, and a thickening is two
-    slices of it: O(surviving gaps), not O(parts). The lists follow the
-    width order, not position: ``_merged`` sorts starts and ends apart, so
-    only their multisets matter. A ladder builds one ``_Thickenings`` of A
-    and every rung reuses it, memo included.
+    and end L past the last part and past the left end of every such gap.
+    With the gaps sorted by decreasing width, ``starts`` is the first
+    part's start and then each gap's right end, and ``ends`` the last
+    part's end and then each gap's left end: the thickening by L is their
+    first ``bisect_left(neg_widths, -L) + 1`` entries, L added to the ends.
+    They follow width order, not position; ``_merged`` sorts starts and
+    ends apart, so only their multisets matter.
     """
 
+    __slots__ = ("neg_widths", "starts", "ends")
+
     def __init__(self, parts: IntPairs) -> None:
-        super().__init__()
         # Gap i lies between parts i and i + 1. Keyed on minus its width,
         # the gaps sort widest first and the keys ascend, ready for bisect.
         by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
         self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in by_width]
-        self.gap_los = [parts[i][1] for i in by_width]
-        self.gap_his = [parts[i + 1][0] for i in by_width]
-        self.first = parts[0][0]
-        self.last = parts[-1][1]
-
-    def __missing__(self, L: int) -> tuple[list[int], list[int]]:
-        wider = bisect_left(self.neg_widths, -L)  # the gaps wider than L
-        starts = [self.first, *self.gap_his[:wider]]
-        ends = [*map(operator.add, self.gap_los[:wider], repeat(L)), self.last + L]
-        self[L] = pieces = (starts, ends)
-        return pieces
+        self.starts = [parts[0][0], *(parts[i + 1][0] for i in by_width)]
+        self.ends = [parts[-1][1], *(parts[i][1] for i in by_width)]
 
 
 def _fold_ladder(first, H: int, add) -> list:
@@ -399,36 +392,42 @@ def _int_sum(
 ) -> list[tuple[int, int]]:
     """Minkowski sum of two canonical unions given as sorted integer pairs.
 
-    For a part [lo, lo + L] of ``a``, ``[lo, lo + L] + b`` is b thickened
-    by L and shifted by lo: each gap of b of width at most L fills and each
-    part stretches right by L. ``thickened_b``, when given, is
-    ``_Thickenings(b)`` kept by the caller, as a ladder keeps A's for all
-    its rungs. The parts of ``a`` are grouped by length, each distinct L
-    is thickened once, and a group's pieces are its shifts added to the
-    thickening's starts and ends with C-level ``map``, looping over
-    whichever of the shifts and the thickening's pieces is shorter. So the
-    work follows the output rather than the p*q part pairs. ``_merged``
-    sorts and merges the pieces, touching ones included.
+    For a part [lo, hi] of ``a``, ``[lo, hi] + b`` is b thickened by
+    L = hi - lo and shifted by lo: its k pieces start at lo plus the first
+    k of ``_Thickenings(b).starts`` and end at hi plus the first k of its
+    ``ends``, where k - 1 gaps of b are wider than L. ``thickened_b``, when
+    given, is ``_Thickenings(b)`` kept by the caller, as a ladder keeps A's.
+    One bisection per distinct part length finds k; the parts with equal k
+    form one group, whose los and his are added to the k starts and ends
+    with C-level ``map``, looping over whichever of the group and the k is
+    shorter. So the work follows the output rather than the p*q part pairs.
+    ``_merged`` sorts and merges the pieces, touching ones included.
     """
     if not a or not b:
         return []
     thickened = _Thickenings(b) if thickened_b is None else thickened_b
-    shifts_by_length: dict[int, list[int]] = {}
+    neg_widths, piece_starts, piece_ends = thickened.neg_widths, thickened.starts, thickened.ends
+    los_by_length: dict[int, list[int]] = {}
     for lo, hi in a:
-        shifts_by_length.setdefault(hi - lo, []).append(lo)
+        los_by_length.setdefault(hi - lo, []).append(lo)
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # k pieces per part -> those parts' (los, his)
+    for L, los in los_by_length.items():
+        group_los, group_his = groups.setdefault(bisect_left(neg_widths, -L) + 1, ([], []))
+        group_los += los
+        group_his += map(operator.add, los, repeat(L))
     starts: list[int] = []
     ends: list[int] = []
-    for L, shifts in shifts_by_length.items():
-        piece_starts, piece_ends = thickened[L]
-        if len(shifts) <= len(piece_starts):
-            for lo in shifts:
-                starts += map(operator.add, piece_starts, repeat(lo))
-                ends += map(operator.add, piece_ends, repeat(lo))
+    for k, (los, his) in groups.items():
+        if len(los) <= k:
+            for lo in los:
+                starts += map(operator.add, repeat(lo, k), piece_starts)
+            for hi in his:
+                ends += map(operator.add, repeat(hi, k), piece_ends)
         else:
-            for start in piece_starts:
-                starts += map(operator.add, shifts, repeat(start))
-            for end in piece_ends:
-                ends += map(operator.add, shifts, repeat(end))
+            for start in piece_starts[:k]:
+                starts += map(operator.add, los, repeat(start))
+            for end in piece_ends[:k]:
+                ends += map(operator.add, his, repeat(end))
     return _merged(starts, ends)
 
 

@@ -502,12 +502,27 @@ def test_start_end_merge_joins_touching_pieces_and_keeps_points_apart():
 # 40 unit parts with gaps of 1 and 7: thickening by 1 leaves 20 pieces for 40
 # shifts, so the sum loops over the thickening's pieces rather than the shifts
 ONE_LENGTH = IntervalUnion((10 * k, 10 * k + 1) for k in range(20)) + U((0, 0), (2, 2))
+# gaps of widths 2 and 6: six parts of length 3 leave one gap open (6 shifts,
+# 2 pieces) and a point leaves both (1 shift, 3 pieces)
+TWO_BRACKETS = (
+    IntervalUnion([*((5 * k, 5 * k + 3) for k in range(6)), (40, 40)]),
+    U((0, 1), (3, 4), (10, 11)),
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(tied_unions(), st.one_of(tied_unions(), gappy_unions()))
 @example(ONE_LENGTH, ONE_LENGTH)
 @example(ONE_LENGTH, IntervalUnion((k, k + F(1, 2)) for k in range(0, 30, 3)))
+# a part length equal to a gap width: the gap fills, its two pieces touch
+@example(U((0, 2), (7, 9)), U((0, 1), (3, 4)))
+# lengths 2 and 3 both fall between the gap widths 1 and 5: one merged group
+@example(U((0, 2), (10, 13)), U((0, 1), (2, 3), (8, 9)))
+# a one-part b has no gaps: every length takes its one piece
+@example(U((0, 1), (3, 3), (5, F(13, 2))), U((0, F(1, 2))))
+# point parts in a (L = 0) leave every gap of b open
+@example(U((0, 0), (4, 4), (6, 7)), U((0, 1), (2, 3), (F(7, 2), 5)))
+@example(*TWO_BRACKETS)
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     reference = pairwise_sum(a, b)
     assert a + b == reference
@@ -522,6 +537,9 @@ def test_prop_grouped_sum_matches_pairwise_reference(a, b):
 
 @settings(max_examples=20, deadline=None)
 @given(tied_unions(max_parts=40), st.integers(2, 6))
+@example(U((0, 1), (2, 3), (5, 5)), 4)  # the part lengths 1 and 0 against gaps of widths 1 and 2
+@example(TWO_BRACKETS[0], 3)
+@example(U((0, F(1, 3))), 3)
 def test_prop_fold_measures_with_shared_thickenings_match_iterated_pairwise_sums(u, H):
     reference = [u]
     for _ in range(H - 1):
