@@ -82,7 +82,7 @@ class BuildBudgetError(SchemaError):
 
 
 class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
-    """Validated rectangular integer table: rows of equal width H >= 2.
+    """Validated rectangular integer table: list or tuple rows of equal width H >= 2.
 
     ``n`` is the number of sets the table describes, at least two; here
     one row per consecutive pair of sets, so rows + 1. Subclasses change
@@ -94,6 +94,10 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
     __slots__ = ()
 
     def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
+        rows = tuple(rows)
+        for row in rows:  # a dict or set row would otherwise be read as its keys
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"each table row must be a list or tuple, got {row!r}")
         rows = tuple(map(tuple, rows))
         self = super().__new__(cls, rows)
         if self.n < 2:

@@ -80,12 +80,16 @@ def is_rank_tuple(values: Sequence[int]) -> bool:
 def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
 
-    At most ``MAX_FOLDS`` tuples of at most ``MAX_SETS`` ranks. Returns
-    the targets as a list of tuples; raises ``SchemaError`` otherwise. The
-    counts and lengths are checked before any entry, so an oversized
-    target is refused without ranking it.
+    At most ``MAX_FOLDS`` lists or tuples of at most ``MAX_SETS`` ranks.
+    Returns the targets as a list of tuples; raises ``SchemaError``
+    otherwise. The counts and lengths are checked before any entry, so an
+    oversized target is refused without ranking it.
     """
-    goal = [tuple(t) for t in targets]
+    goal = []
+    for t in targets:  # a dict or set row would otherwise be read as its keys
+        if not isinstance(t, (list, tuple)):
+            raise SchemaError(f"each target must be a list of ranks, got {t!r}")
+        goal.append(tuple(t))
     if not goal:
         raise SchemaError("at least one rank tuple is required")
     if len(goal) > MAX_FOLDS:
@@ -250,7 +254,7 @@ def search_race_sets(
                     checks[d].append((j, columns[h], at_most[h], -sign - 1, everything))
 
     # Siblings differ in their newest profile, so the search reaches each
-    # prefix once and a memo of subtree outcomes would never be hit.
+    # prefix once: a memo keyed on the prefix would never be hit.
     def first_suffix(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         depth = len(prefix)
         if depth == n:

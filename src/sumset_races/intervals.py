@@ -129,14 +129,14 @@ class IntervalUnion:
     multiplied by ``scale``, and ``scale`` is the least common denominator
     of the endpoints. The form is canonical, so two unions compare (and
     hash) equal exactly when they are the same point set. ``parts``, the
-    parts as ``Interval``s with ``Fraction`` ends, is built on first use.
+    parts as ``Interval``s with ``Fraction`` ends, is built when asked for.
 
     The constructor accepts any iterable of ``Interval`` or ``(lo, hi)``
     pairs and canonicalizes it; it is idempotent on already canonical
     input. ``IntervalUnion()`` is the empty set.
     """
 
-    __slots__ = ("_scale", "_pairs", "_parts")
+    __slots__ = ("_scale", "_pairs")
 
     def __init__(self, intervals: Iterable[Sequence[Rational]] = ()) -> None:
         parts = [Interval(lo, hi) for lo, hi in intervals]
@@ -162,13 +162,9 @@ class IntervalUnion:
     def _set(self, scale: int, pairs: IntPairs) -> None:
         if any(left[1] >= right[0] for left, right in pairwise(pairs)):
             pairs = _merged([lo for lo, _ in pairs], [hi for _, hi in pairs])
-        g = math.gcd(scale, *chain.from_iterable(pairs))
-        if g > 1:  # reduce to the least common denominator
-            scale //= g
-            pairs = [(lo // g, hi // g) for lo, hi in pairs]
-        self._scale = scale
-        self._pairs = tuple(pairs)
-        self._parts = None
+        g = math.gcd(scale, *chain.from_iterable(pairs))  # reduce to the least common denominator
+        self._scale = scale // g
+        self._pairs = tuple([(lo // g, hi // g) for lo, hi in pairs])
 
     scale = property(lambda self: self._scale, doc="Least common denominator of the endpoints.")
     pairs = property(lambda self: self._pairs, doc="The parts as integer pairs over ``scale``.")
@@ -176,10 +172,8 @@ class IntervalUnion:
     @property
     def parts(self) -> tuple[Interval, ...]:
         """The parts as ``Interval``s, sorted, with lowest-terms ``Fraction`` ends."""
-        if self._parts is None:
-            s = self._scale
-            self._parts = tuple(Interval(Fraction(lo, s), Fraction(hi, s)) for lo, hi in self._pairs)
-        return self._parts
+        s = self._scale
+        return tuple(Interval(Fraction(lo, s), Fraction(hi, s)) for lo, hi in self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalUnion):
@@ -216,17 +210,8 @@ class IntervalUnion:
         return idx > 0 and target <= self._pairs[idx - 1][1] * den
 
     def translate(self, offset: Rational) -> "IntervalUnion":
-        """Shift every part by the same amount.
-
-        A shift is monotone, so the shifted pairs stay sorted and apart
-        without a merge.
-        """
-        t = as_fraction(offset)
-        scale = math.lcm(self._scale, t.denominator)
-        shift = t.numerator * (scale // t.denominator)
-        return IntervalUnion._from_pairs(
-            scale, [(lo + shift, hi + shift) for lo, hi in _rescaled(self, scale)]
-        )
+        """Shift every part by the same amount: the sum with the point ``offset``."""
+        return self + IntervalUnion([(offset, offset)])
 
     def dilate(self, scale: Rational) -> "IntervalUnion":
         """Scale about the origin; measure scales by |scale| exactly.
@@ -315,8 +300,6 @@ class IntervalUnion:
 def _rescaled(union: IntervalUnion, scale: int) -> IntPairs:
     """The union's integer pairs over ``scale``, a multiple of its own scale."""
     k = scale // union._scale
-    if k == 1:
-        return union._pairs
     return [(lo * k, hi * k) for lo, hi in union._pairs]
 
 

@@ -249,9 +249,6 @@ def load_race_targets(path: str | Path) -> list[tuple[int, ...]]:
     raw = data["targets"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'targets' must be a nonempty list of rank tuples")
-    for row in raw:
-        if not isinstance(row, list):
-            raise SchemaError(f"each target must be a list of ranks, got {row!r}")
     return check_race_targets(raw)
 
 

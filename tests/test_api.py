@@ -81,6 +81,11 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
         (lambda: DiffMatrix(((1,),)), ValueError, "need at least two columns, for folds 1 and 2"),
         (lambda: DiffMatrix(((1, 0), (1,))), ValueError, "rows must all have the same width"),
         (lambda: DiffMatrix(((1, F(1, 2)),)), TypeError, "table entry must be an integer"),
+        # a dict or set row is refused, not read as its keys
+        (lambda: DiffMatrix([{7: 1, 8: 2}]), TypeError,
+         r"each table row must be a list or tuple, got \{7: 1, 8: 2\}"),
+        (lambda: DiffMatrix([(1, 0), {2, 3}]), TypeError,
+         r"each table row must be a list or tuple, got \{2, 3\}"),
         (lambda: CarveMatrix(((1, 0),)), ValueError, "need rows for at least two sets, got 1 rows"),
         (lambda: CarveMatrix(((1, 0), (-1, 2))), ValueError,
          "gap multiplicities must be nonnegative"),

@@ -20,6 +20,7 @@ from sumset_races import (
     build_sets,
     carve,
     choose_params,
+    dense_rank,
     filler_set,
     lift_steps,
     solve_steps,
@@ -373,6 +374,21 @@ class TestBuildSets:
         assert sum(lift_steps(solve_steps(DiffMatrix(((k, 0),)))).row_totals) == MAX_BUILD_GAPS
         with pytest.raises(BuildBudgetError):
             build_sets(DiffMatrix(((k + 1, 0),)), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 8), st.data())
+    def test_prop_theorem_one_through_the_construction(self, n, horizon, data):
+        # Theorem 2 gives mu(hA_i) - mu(hA_{i+1}) = theta * (r_h[i] - r_h[i+1]),
+        # so mu(hA_i) = C_h + theta * r_h[i] and the measure ranks are r_h, ties included
+        draws = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        targets = [dense_rank(data.draw(draws)) for _ in range(horizon)]
+        theta = data.draw(st.fractions(min_value=F(1, 100), max_value=10, max_denominator=100))
+        columns = targets * 2 if horizon == 1 else targets  # DiffMatrix needs two columns
+        rows = [[r[i] - r[i + 1] for r in columns] for i in range(n - 1)]
+        result = build_sets(DiffMatrix(rows), theta)
+        measures = [s.fold_measures(horizon) for s in result.sets]
+        for h, target in enumerate(targets):
+            assert dense_rank([m[h] for m in measures]) == target
 
 
 class TestVerifyDifferences:

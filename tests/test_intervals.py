@@ -181,6 +181,10 @@ class TestDilateTranslate:
     def test_translate_empty(self):
         assert IntervalUnion().translate(3).is_empty
 
+    def test_translate_refuses_a_float(self):
+        with pytest.raises(TypeError, match="exact rational required, got float"):
+            U((0, 1)).translate(0.5)
+
 
 class TestSubtract:
     def test_open_gap_keeps_endpoints(self):
@@ -311,6 +315,11 @@ any_unions = st.one_of(interval_unions(max_parts=6), gappy_unions())
 
 
 @given(any_unions, any_unions)
+# translate is the sum with a point, so single-point operands are pinned here
+@example(U((0, 1), (3, 5)), U((2, 2)))
+@example(U((0, F(1, 3)), (F(5, 2), 4)), U((F(7, 6), F(7, 6))))
+@example(U((F(-1, 2), 0), (1, 1)), U((-3, -3)))
+@example(IntervalUnion(), U((F(5, 2), F(5, 2))))
 def test_prop_minkowski_sum_matches_pairwise_reference(a, b):
     # __add__ thickens one operand by the part lengths of the other; the
     # reference merges every Fraction part sum through the constructor
