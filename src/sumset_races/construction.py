@@ -24,8 +24,7 @@ from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
 
 from .intervals import (
-    MAX_FOLDS,
-    MAX_SETS,
+    IntTable,
     Interval,
     IntervalUnion,
     Rational,
@@ -79,49 +78,6 @@ and -50).
 
 class BuildBudgetError(SchemaError):
     """The targets need more carved gaps than ``MAX_BUILD_GAPS``."""
-
-
-class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
-    """Validated rectangular integer table: list or tuple rows of equal width H >= 2.
-
-    ``n`` is the number of sets the table describes, at least two; here
-    one row per consecutive pair of sets, so rows + 1. Subclasses change
-    ``n`` and may extend ``__new__`` with rules of their own. More than
-    ``MAX_SETS`` sets or ``MAX_FOLDS`` columns raise ``SchemaError``, checked
-    before any entry is.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
-        rows = tuple(rows)
-        for row in rows:  # a dict or set row would otherwise be read as its keys
-            if not isinstance(row, (list, tuple)):
-                raise TypeError(f"each table row must be a list or tuple, got {row!r}")
-        rows = tuple(map(tuple, rows))
-        self = super().__new__(cls, rows)
-        if self.n < 2:
-            raise ValueError(f"need rows for at least two sets, got {len(rows)} rows")
-        if len(rows[0]) < 2:
-            raise ValueError("need at least two columns, for folds 1 and 2")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("rows must all have the same width")
-        if self.n > MAX_SETS:
-            raise SchemaError(f"{self.n} sets, more than the limit of {MAX_SETS} sets")
-        if self.H > MAX_FOLDS:
-            raise SchemaError(f"{self.H} folds, more than the limit of {MAX_FOLDS} folds")
-        for row in rows:  # entries last: an oversized table is refused before they are read
-            for v in row:
-                _require_int(v, "table entry")
-        return self
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) + 1
-
-    @property
-    def H(self) -> int:
-        return len(self.rows[0])
 
 
 class DiffMatrix(IntTable):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .intervals import MAX_FOLDS, MAX_SETS, SchemaError, _require_int
+from .intervals import IntTable, SchemaError, _require_int
 
 IntSet = tuple[int, ...]
 
@@ -32,7 +32,7 @@ __all__ = [
     "hfold_ints",
     "dense_rank",
     "is_rank_tuple",
-    "check_race_targets",
+    "RankTable",
     "check_race_bounds",
     "MAX_RACE_CANDIDATES",
     "search_race_sets",
@@ -77,34 +77,29 @@ def is_rank_tuple(values: Sequence[int]) -> bool:
         return False
 
 
-def check_race_targets(targets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Validate race targets: one dense rank tuple per fold, all of one length >= 2.
+class RankTable(IntTable):
+    """Race targets: ``rows[h-1]`` is the dense rank tuple wanted of the h-fold sumsets.
 
-    At most ``MAX_FOLDS`` lists or tuples of at most ``MAX_SETS`` ranks.
-    Returns the targets as a list of tuples; raises ``SchemaError``
-    otherwise. The counts and lengths are checked before any entry, so an
-    oversized target is refused without ranking it.
+    So n is the width and H the number of rows; a row that is not its own
+    ``dense_rank`` raises ``ValueError``.
     """
-    goal = []
-    for t in targets:  # a dict or set row would otherwise be read as its keys
-        if not isinstance(t, (list, tuple)):
-            raise SchemaError(f"each target must be a list of ranks, got {t!r}")
-        goal.append(tuple(t))
-    if not goal:
-        raise SchemaError("at least one rank tuple is required")
-    if len(goal) > MAX_FOLDS:
-        raise SchemaError(f"{len(goal)} rank tuples, more than the limit of {MAX_FOLDS} folds")
-    n = len(goal[0])
-    if n < 2:
-        raise SchemaError("a race needs at least two sets")
-    if n > MAX_SETS:
-        raise SchemaError(f"rank tuples of length {n}, more than the limit of {MAX_SETS} sets")
-    if any(len(t) != n for t in goal):
-        raise SchemaError("rank tuples must all have the same length")
-    for t in goal:
-        if not is_rank_tuple(t):
-            raise SchemaError(f"not a valid rank tuple (dense ranks from 1): {list(t)}")
-    return goal
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "RankTable":
+        self = super().__new__(cls, rows)
+        for row in self.rows:
+            if dense_rank(row) != row:
+                raise ValueError(f"not a valid rank tuple (dense ranks from 1): {list(row)}")
+        return self
+
+    @property
+    def n(self) -> int:
+        return len(self.rows[0])
+
+    @property
+    def H(self) -> int:
+        return len(self.rows)
 
 
 def check_race_bounds(ground: int, maxsize: int) -> None:
@@ -197,9 +192,9 @@ def search_race_sets(
     at most ``maxsize`` elements, enumerated by size then lexicographically.
     Returns the first matching tuple of sets in product order over that
     enumeration, or None once the space is exhausted. Exhaustion is a
-    normal outcome, not an error. Invalid targets or bounds, and bounds
-    whose space holds more than ``MAX_RACE_CANDIDATES`` candidates, raise
-    ``SchemaError`` before any candidate is built.
+    normal outcome, not an error. Targets that make no ``RankTable`` raise
+    as it does, and bad bounds or a space of more than ``MAX_RACE_CANDIDATES``
+    candidates raise ``SchemaError``, all before any candidate is built.
 
     Whether a choice matches depends only on each set's size profile
     (|1B|, ..., |HB|), so the search keeps the first candidate of each
@@ -224,7 +219,7 @@ def search_race_sets(
     node admits are one AND per constraint the earlier sets impose, and it
     tries them lowest bit first, which is table order.
     """
-    goal = check_race_targets(targets)
+    goal = RankTable(targets).rows
     check_race_bounds(ground, maxsize)
     n, horizon = len(goal[0]), len(goal)
 

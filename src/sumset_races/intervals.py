@@ -29,7 +29,8 @@ climbs the ladder on A's pairs, with one ``_Thickenings`` of A built once
 and shared by every rung, and makes one ``Fraction`` per fold.
 ``IntervalUnion.folds`` (and ``hfold``, its last rung) climbs it on
 unions, one ``__add__`` per rung, because its callers need the folds
-themselves.
+themselves. The module also holds the checks every other module shares:
+``SchemaError``, the ``MAX_SETS``/``MAX_FOLDS`` caps, ``_require_int`` and ``IntTable``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "MAX_FOLDS",
     "Rational",
     "as_fraction",
+    "IntTable",
     "Interval",
     "IntervalUnion",
     "grid_measure_oracle",
@@ -93,6 +95,49 @@ def _require_int(value: object, what: str, lo: int | None = None) -> int:
     if lo is not None and value < lo:
         raise ValueError(f"{what} must be an integer >= {lo}, got {value}")
     return value
+
+
+class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
+    """Validated integer table: one or more list or tuple rows of one width >= 2.
+
+    It describes ``n`` >= 2 sets and ``H`` folds: here rows + 1 and the
+    width; subclasses may read it the other way round or add rules. More
+    than ``MAX_SETS`` sets or ``MAX_FOLDS`` folds raise ``SchemaError``,
+    checked before any entry is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
+        rows = tuple(rows)
+        for row in rows:  # a dict or set row would otherwise be read as its keys
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"each table row must be a list or tuple, got {row!r}")
+        if not rows:
+            raise ValueError("need at least one row")
+        if len(rows[0]) < 2:
+            raise ValueError(f"need at least two columns, got {len(rows[0])}")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("rows must all have the same width")
+        shape = super().__new__(cls, rows)  # n and H read only lengths: no row is copied yet
+        if shape.n < 2:
+            raise ValueError(f"need at least two sets, got {shape.n}")
+        if shape.n > MAX_SETS:
+            raise SchemaError(f"{shape.n} sets, more than the limit of {MAX_SETS} sets")
+        if shape.H > MAX_FOLDS:
+            raise SchemaError(f"{shape.H} folds, more than the limit of {MAX_FOLDS} folds")
+        for row in rows:  # entries last: an oversized table is refused before they are read
+            for v in row:
+                _require_int(v, "table entry")
+        return super().__new__(cls, tuple(map(tuple, rows)))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows) + 1
+
+    @property
+    def H(self) -> int:
+        return len(self.rows[0])
 
 
 class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .discrete import as_int_set, check_race_targets, dense_rank, hfold_ints
+from .discrete import RankTable, as_int_set, dense_rank, hfold_ints
 from .intervals import IntervalUnion, _require_int
 
 __all__ = [
@@ -74,13 +74,13 @@ def verify_tau_race(
 ) -> TauRaceReport:
     """Check, fold by fold, that measures and sumset sizes both rank as targeted.
 
-    ``targets`` holds one dense rank tuple per fold, with one rank per
-    set, so the horizon is ``len(targets)``. The measures come from the
-    generic interval fold and the sizes from the integer fold; the two
-    routes share no code, so agreement is a real cross-check and not an
-    echo.
+    ``targets`` must make a ``RankTable`` (one dense rank tuple per fold,
+    one rank per set), so the horizon is ``len(targets)``. The measures
+    come from the generic interval fold and the sizes from the integer
+    fold; the two routes share no code, so agreement is a real
+    cross-check and not an echo.
     """
-    goal = check_race_targets(targets)  # nonempty, so a report always has folds
+    goal = RankTable(targets).rows  # at least one row, so a report always has folds
     if len(goal[0]) != len(sets):
         raise ValueError(f"rank tuples of length {len(goal[0])} for {len(sets)} sets")
     if len(sets) != len(base_sets):

@@ -24,7 +24,7 @@ from .construction import (
     DiffMatrix,
     DifferenceReport,
 )
-from .discrete import IntSet, check_race_targets
+from .discrete import IntSet, RankTable
 from .intervals import MAX_SETS, IntervalUnion, Rational, SchemaError, _require_int
 from .realization import TauRaceReport
 
@@ -214,15 +214,14 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
     theta = parse_rational(data["theta"])
     if theta <= 0:
         raise SchemaError(f"theta must be positive, got {theta}")
-    m = data["m"]
-    if not isinstance(m, list) or len(m) != n - 1:
-        raise SchemaError(f"m must be a list of n-1 = {n - 1} rows")
-    if any(not isinstance(row, list) or len(row) != H for row in m):
-        raise SchemaError(f"each m row must list H = {H} integers")
-    try:  # the shape is checked above, so only an entry that is not an int is left
-        diffs = DiffMatrix(tuple(tuple(row) for row in m))
-    except TypeError as exc:
+    if not isinstance(data["m"], list):
+        raise SchemaError("m must be a list of rows")
+    try:
+        diffs = DiffMatrix(data["m"])
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
+    if (diffs.n, diffs.H) != (n, H):
+        raise SchemaError(f"m needs n-1 = {n - 1} rows of H = {H}, got {diffs.n - 1} of {diffs.H}")
     for value in (theta.numerator, theta.denominator, *chain.from_iterable(diffs.rows)):
         _bounded(value, "a number in the problem file", _PROBLEM_LIMIT)
     return diffs, theta
@@ -242,14 +241,16 @@ def load_sets_file(path: str | Path) -> list[IntervalUnion]:
 
 
 def load_race_targets(path: str | Path) -> list[tuple[int, ...]]:
-    """Read a race targets file: {"targets": [[rank, ...], ...]}, one tuple per fold."""
+    """Read a race targets file: {"targets": [[rank, ...], ...]}, a ``RankTable``'s rows."""
     data = read_json(path)
     if not isinstance(data, dict) or "targets" not in data:
         raise SchemaError("targets file must be a JSON object with a 'targets' key")
-    raw = data["targets"]
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("'targets' must be a nonempty list of rank tuples")
-    return check_race_targets(raw)
+    if not isinstance(data["targets"], list):
+        raise SchemaError("'targets' must be a list of rank tuples")
+    try:
+        return list(RankTable(data["targets"]).rows)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def build_output_obj(result: BuildResult, report: DifferenceReport) -> dict:

@@ -16,6 +16,7 @@ from sumset_races import (
     serialization,
 )
 from sumset_races.construction import BuildBudgetError
+from sumset_races.discrete import RankTable
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS, SchemaError
 from sumset_races.svg import UndrawableError
 
@@ -77,8 +78,8 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
          "fold horizon H must be an integer >= 2, got 1"),
         (lambda: ConstructionParams(**{**PARAMS, "n": True}), TypeError,
          "set count n must be an integer, got True"),
-        (lambda: DiffMatrix(()), ValueError, "need rows for at least two sets, got 0 rows"),
-        (lambda: DiffMatrix(((1,),)), ValueError, "need at least two columns, for folds 1 and 2"),
+        (lambda: DiffMatrix(()), ValueError, "need at least one row"),
+        (lambda: DiffMatrix(((1,),)), ValueError, "need at least two columns, got 1"),
         (lambda: DiffMatrix(((1, 0), (1,))), ValueError, "rows must all have the same width"),
         (lambda: DiffMatrix(((1, F(1, 2)),)), TypeError, "table entry must be an integer"),
         # a dict or set row is refused, not read as its keys
@@ -86,7 +87,7 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
          r"each table row must be a list or tuple, got \{7: 1, 8: 2\}"),
         (lambda: DiffMatrix([(1, 0), {2, 3}]), TypeError,
          r"each table row must be a list or tuple, got \{2, 3\}"),
-        (lambda: CarveMatrix(((1, 0),)), ValueError, "need rows for at least two sets, got 1 rows"),
+        (lambda: CarveMatrix(((1, 0),)), ValueError, "need at least two sets, got 1"),
         (lambda: CarveMatrix(((1, 0), (-1, 2))), ValueError,
          "gap multiplicities must be nonnegative"),
         (lambda: CarveMatrix(((1, 0), (0, 0))), ValueError,
@@ -100,6 +101,31 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
         # the caps come before the entries are checked
         (lambda: DiffMatrix(((0, 0.5),) * MAX_SETS), SchemaError,
          "65 sets, more than the limit of 64 sets"),
+        (lambda: DiffMatrix(((0,) * MAX_FOLDS + (0.5,),)), SchemaError,
+         "65 folds, more than the limit of 64 folds"),
+        (lambda: DiffMatrix([(1, 0), 5]), TypeError,
+         "each table row must be a list or tuple, got 5"),
+        (lambda: DiffMatrix(((1, True),)), TypeError, "table entry must be an integer, got True"),
+        (lambda: DiffMatrix(((1, 2.0),)), TypeError, "table entry must be an integer, got 2.0"),
+        # race targets are the same table read the other way round, so every
+        # shape above fails them with the same exception type
+        (lambda: RankTable(()), ValueError, "need at least one row"),
+        (lambda: RankTable(((1,),)), ValueError, "need at least two columns, got 1"),
+        (lambda: RankTable(((1, 2), (1, 2, 3))), ValueError, "rows must all have the same width"),
+        (lambda: RankTable([{1: 1, 2: 2}]), TypeError,
+         r"each table row must be a list or tuple, got \{1: 1, 2: 2\}"),
+        (lambda: RankTable([(1, 2), {1, 2}]), TypeError,
+         r"each table row must be a list or tuple, got \{1, 2\}"),
+        (lambda: RankTable([(1, 2), 5]), TypeError,
+         "each table row must be a list or tuple, got 5"),
+        (lambda: RankTable(((1, True),)), TypeError, "table entry must be an integer, got True"),
+        (lambda: RankTable(((1, 2.0),)), TypeError, "table entry must be an integer, got 2.0"),
+        (lambda: RankTable(((1,) * MAX_SETS + (0.5,),)), SchemaError,
+         "65 sets, more than the limit of 64 sets"),
+        (lambda: RankTable(((1, 0.5),) * (MAX_FOLDS + 1)), SchemaError,
+         "65 folds, more than the limit of 64 folds"),
+        (lambda: RankTable(((1, 3),)), ValueError,
+         r"not a valid rank tuple \(dense ranks from 1\): \[1, 3\]"),
     ],
 )
 def test_value_types_refuse_bad_fields(make, error, message):
@@ -133,6 +159,8 @@ VALUES = [
     (lambda: ConstructionParams(**PARAMS), "delta"),
     (lambda: DiffMatrix(((1, 0),)), "rows"),
     (lambda: CarveMatrix(((1, 0), (2, 3))), "rows"),
+    # one row is a race of one fold, though one column is no table
+    (lambda: RankTable([[2, 1]]), "rows"),
 ]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
 from sumset_races.discrete import MAX_RACE_CANDIDATES, _profile_table, check_race_bounds
-from sumset_races.intervals import MAX_FOLDS, MAX_SETS, SchemaError
+from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 
 from conftest import reference_search_race_sets
 
@@ -164,7 +164,7 @@ class TestSearch:
     # a dict row would be searched on its keys, and an int row fail inside tuple()
     @pytest.mark.parametrize("row, shown", [({1: 1, 2: 2}, r"\{1: 1, 2: 2\}"), (5, "5")])
     def test_rejects_a_target_that_is_not_a_list_or_tuple(self, row, shown):
-        with pytest.raises(SchemaError, match="each target must be a list of ranks, got " + shown):
+        with pytest.raises(TypeError, match="each table row must be a list or tuple, got " + shown):
             search_race_sets([[1, 2], row], 4, 3)
 
     def test_oversized_target_is_refused_before_it_is_ranked(self):

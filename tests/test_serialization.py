@@ -187,6 +187,15 @@ class TestProblemFiles:
             {"n": 2, "H": 2, "theta": "1", "m": [[1]]},
             {"n": 2, "H": 2, "theta": "1", "m": [[1, 0.5]]},
             {"n": 2, "H": True, "theta": "1", "m": [[1, 0]]},
+            # every shape the table refuses, and an m that is not a list
+            {"n": 2, "H": 2, "theta": "1", "m": {"0": [1, 0]}},
+            {"n": 2, "H": 2, "theta": "1", "m": []},
+            {"n": 3, "H": 2, "theta": "1", "m": [[1, 0], [1]]},
+            {"n": 2, "H": 2, "theta": "1", "m": [{"1": 1, "2": 2}]},
+            {"n": 3, "H": 2, "theta": "1", "m": [[1, 0], 5]},
+            {"n": 2, "H": 2, "theta": "1", "m": [[1, True]]},
+            {"n": MAX_SETS + 1, "H": 2, "theta": "1", "m": [[0, 0.5]] * MAX_SETS},
+            {"n": 2, "H": MAX_FOLDS + 1, "theta": "1", "m": [[0] * MAX_FOLDS + [0.5]]},
         ],
     )
     def test_rejects_schema_violations(self, tmp_path, obj):
@@ -246,6 +255,8 @@ class TestTargetsFiles:
     def test_load(self, tmp_path):
         path = self.write(tmp_path, {"targets": [[1, 2], [2, 1]]})
         assert load_race_targets(path) == [(1, 2), (2, 1)]
+        # one rank tuple is a race of one fold
+        assert load_race_targets(self.write(tmp_path, {"targets": [[2, 1]]})) == [(2, 1)]
 
     @pytest.mark.parametrize(
         "obj",
@@ -258,6 +269,13 @@ class TestTargetsFiles:
             {"targets": [[1, 2], [1, 2, 3]]},
             {"targets": [[1, True]]},
             {"bystanders": [[1, 2]]},
+            # every shape the table refuses, and targets that are not a list
+            {"targets": {"0": [1, 2]}},
+            {"targets": [{"1": 1, "2": 2}]},
+            {"targets": [[1, 2], 3]},
+            {"targets": [[1, 2.0]]},
+            {"targets": [[1] * MAX_SETS + [0.5]]},
+            {"targets": [[1, 0.5]] * (MAX_FOLDS + 1)},
         ],
     )
     def test_rejects_schema_violations(self, tmp_path, obj):
@@ -266,7 +284,7 @@ class TestTargetsFiles:
 
     def test_rejects_a_target_that_is_not_a_list(self, tmp_path):
         path = self.write(tmp_path, {"targets": [[1, 2], 3]})
-        with pytest.raises(SchemaError, match="each target must be a list of ranks, got 3"):
+        with pytest.raises(SchemaError, match="each table row must be a list or tuple, got 3"):
             load_race_targets(path)
 
 
