@@ -6,6 +6,12 @@ are rejected on input so nothing inexact can leak into the arithmetic,
 and so are numbers too long to print again (``MAX_NUMERAL_DIGITS``).
 Interval unions serialize as ordered lists of [lo, hi] string pairs.
 This is the one format shared by every module and the CLI.
+
+Both directions work in bulk: ``union_from_obj`` reads all of a union's
+endpoints with one regex pass and C-level maps, and ``write_json`` writes
+each scalar with one C-level call. Both take their values by exact type,
+as ``json.loads`` makes them, and so does ``parse_rational``: a subclass
+of str, int, list or dict is refused.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ import re
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import gt, itemgetter, mul
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .construction import (
     BuildResult,
@@ -73,6 +80,14 @@ def _bounded(value: int, what: str, limit: int = _NUMERAL_LIMIT) -> int:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_NUMERALS = re.compile(
+    rf"(?<![^ ])(-?[0-9]{{1,{MAX_NUMERAL_DIGITS}}})"
+    rf"(?:/([1-9][0-9]{{0,{MAX_NUMERAL_DIGITS - 1}}}))? "
+)
+"""``_RATIONAL`` with at most ``MAX_NUMERAL_DIGITS`` digits in each part, in a
+text of endpoints each followed by one space: each match gives a numeral's
+numerator and denominator text ("" for a bare "p"), and none starts inside
+an endpoint."""
 
 
 def format_rational(value: Rational, scale: int = 1) -> str:
@@ -90,11 +105,13 @@ def _parse_ratio(obj: Any) -> tuple[int, int]:
     """Numerator and positive denominator of a JSON int or a "p/q" string.
 
     The pair is not reduced. A numeral of more than ``MAX_NUMERAL_DIGITS``
-    digits is refused as a ``SchemaError``, like any malformed one.
+    digits is refused as a ``SchemaError``, like any malformed one. It
+    takes exactly what ``_NUMERALS`` and ``union_from_obj``'s type check
+    take, so ``_raise_first_fault`` finds a fault wherever they do.
     """
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    if type(obj) is int:
         return _bounded(obj, "an integer"), 1
-    if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
+    if type(obj) is str and _RATIONAL.fullmatch(obj):
         num, _, den = obj.partition("/")
         # checked on the text, before int() meets the interpreter's digit limit
         if max(len(num.lstrip("-")), len(den)) > MAX_NUMERAL_DIGITS:
@@ -115,29 +132,79 @@ def union_to_obj(union: IntervalUnion) -> list[list[str]]:
 def union_from_obj(obj: Any) -> IntervalUnion:
     """Load a union from its [lo, hi] pairs, in any order, overlapping or not.
 
-    Endpoints are parsed to integers and put over one scale, which may
-    have at most ``MAX_NUMERAL_DIGITS`` digits; pairs that
-    ``union_to_obj`` wrote are already sorted and apart, so they are not
-    merged again.
+    ``obj`` is what ``json.loads`` makes of a union: a list of 2-item
+    lists whose endpoints are numerals (``str``) or JSON ints (``int``,
+    not ``bool``), by exact type. Every endpoint is read in one pass: the
+    endpoints are joined into one text, each numeral is matched by one
+    regex that also bounds its digits, and the numerators and the
+    distinct denominators become ints by ``map``. The ends are put over
+    one scale, which may have at most ``MAX_NUMERAL_DIGITS`` digits; pairs
+    that ``union_to_obj`` wrote are already sorted and apart, so they are
+    not merged again. If any check fails, ``_raise_first_fault`` walks the
+    pairs in file order and raises the ``SchemaError`` for the first fault.
     """
-    if not isinstance(obj, list):
+    if (
+        type(obj) is not list
+        or not set(map(type, obj)) <= {list}
+        or not set(map(len, obj)) <= {2}
+    ):
+        _raise_first_fault(obj)
+    ends = list(chain.from_iterable(obj))  # lo then hi, in file order
+    if not set(map(type, ends)) <= {str, int}:
+        _raise_first_fault(obj)
+    try:
+        text = " ".join(chain(map(str, ends), ("",)))  # each endpoint followed by one space
+    except ValueError:  # an int past the interpreter's limit on printing digits
+        _raise_first_fault(obj)
+    numerals = _NUMERALS.findall(text)
+    # with no space inside an endpoint, each endpoint holds at most one match
+    if text.count(" ") != len(ends) or len(numerals) != len(ends):
+        _raise_first_fault(obj)
+    den_texts = list(map(itemgetter(1), numerals))
+    dens = {q: int(q or 1) for q in set(den_texts)}
+    try:
+        scale = _common_denominator(dens.values())
+    except SchemaError:  # an earlier fault in file order wins
+        _raise_first_fault(obj)
+    multiplier = {q: scale // den for q, den in dens.items()}
+    nums = map(int, map(itemgetter(0), numerals))
+    scaled = list(map(mul, nums, map(multiplier.__getitem__, den_texts)))
+    los, his = scaled[::2], scaled[1::2]
+    if any(map(gt, los, his)):
+        _raise_first_fault(obj)
+    return IntervalUnion._from_pairs(scale, list(zip(los, his)))
+
+
+def _common_denominator(dens: Iterable[int]) -> int:
+    scale = 1
+    for den in dens:  # stops at the bound, however many denominators follow
+        scale = _bounded(math.lcm(scale, den), "the common denominator of the endpoints")
+    return scale
+
+
+def _raise_first_fault(obj: Any) -> NoReturn:
+    """Raise the ``SchemaError`` for the first fault of ``obj`` in file order.
+
+    The pairs are read one by one, each endpoint by ``_parse_ratio`` and
+    each pair's order checked by cross-multiplying, and the common
+    denominator is bounded last, so a file with several faults reports
+    the same one however ``union_from_obj`` came to refuse it. This never
+    returns a union: an ``obj`` with no fault is a bug in
+    ``union_from_obj``, and is not reported as the file's.
+    """
+    if type(obj) is not list:
         raise SchemaError(f"expected a list of [lo, hi] pairs, got {obj!r}")
-    nums, dens = [], []  # the endpoints in file order, lo then hi
+    dens = set()
     for item in obj:
-        if not isinstance(item, list) or len(item) != 2:
+        if type(item) is not list or len(item) != 2:
             raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
         (lo_num, lo_den), (hi_num, hi_den) = _parse_ratio(item[0]), _parse_ratio(item[1])
         if lo_num * hi_den > hi_num * lo_den:
             lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
             raise SchemaError(f"endpoints out of order: {lo} > {hi}")
-        nums += (lo_num, hi_num)
-        dens += (lo_den, hi_den)
-    scale = 1
-    for den in set(dens):  # stops at the bound, however many denominators follow
-        scale = _bounded(math.lcm(scale, den), "the common denominator of the endpoints")
-    ends = [num * (scale // den) for num, den in zip(nums, dens)]
-    pairs = list(zip(ends[::2], ends[1::2]))
-    return IntervalUnion._from_pairs(scale, pairs)
+        dens.update((lo_den, hi_den))
+    _common_denominator(dens)
+    raise RuntimeError("union_from_obj refused a union in which no pair has a fault")
 
 
 def read_json(path: str | Path) -> Any:
@@ -155,10 +222,11 @@ def write_json(path: str | Path, obj: Any) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2)`` writes it, plus a newline.
 
     The standard encoder runs in pure Python whenever it indents, so the
-    text is built here directly, in the same layout; strings go through
-    the C escaper ``encode_basestring_ascii``. Only what the output files
-    hold is taken: dicts with str keys, lists, str, int and bool; anything
-    else raises ``TypeError``.
+    text is built here directly, in the same layout. Only what the output
+    files hold is taken, by exact type: dicts with str keys, lists, and the
+    scalars of ``_SCALARS`` (str, int and bool, each written by one C-level
+    call); anything else, a subclass of these included, raises
+    ``TypeError``.
     """
     chunks: list[str] = []
     _encode(obj, "\n", chunks)
@@ -166,33 +234,56 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text("".join(chunks))
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+}
+"""The JSON text of each scalar type ``write_json`` takes, keyed by exact type."""
+
+
 def _encode(obj: Any, newline: str, chunks: list[str]) -> None:
-    """Append the indent-2 JSON text of ``obj`` to ``chunks``; ``newline`` starts its lines."""
-    if isinstance(obj, str):
-        chunks.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, bool):
-        chunks.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        chunks.append(int.__repr__(obj))
-    elif isinstance(obj, list):
+    """Append the indent-2 JSON text of ``obj`` to ``chunks``; ``newline`` starts its lines.
+
+    The list and dict loops write each scalar item through ``_SCALARS``
+    themselves, so they recurse only into lists and dicts.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        chunks.append(scalar(obj))
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if type(obj) is list:
         if not obj:
             chunks.append("[]")
             return
-        inner = newline + "  "
-        for i, item in enumerate(obj):
-            chunks.append(("," if i else "[") + inner)
-            _encode(item, inner, chunks)
+        head = "[" + inner
+        for item in obj:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                chunks.append(head)
+                _encode(item, inner, chunks)
+            else:
+                chunks.append(head + scalar(item))
+            head = sep
         chunks.append(newline + "]")
-    elif isinstance(obj, dict):
+    elif type(obj) is dict:
         if not obj:
             chunks.append("{}")
             return
-        inner = newline + "  "
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
+        head = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            chunks.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-            _encode(value, inner, chunks)
+            head += encode_basestring_ascii(key) + ": "
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                chunks.append(head)
+                _encode(value, inner, chunks)
+            else:
+                chunks.append(head + scalar(value))
+            head = sep
         chunks.append(newline + "}")
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")

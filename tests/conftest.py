@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
 from sumset_races import Interval, IntervalUnion, dense_rank, hfold_ints
+from sumset_races.serialization import MAX_NUMERAL_DIGITS, SchemaError
 
 
 def rationals(lo: int = -8, hi: int = 8, max_denominator: int = 32):
@@ -231,6 +233,53 @@ def reference_search_race_sets(targets, ground: int, maxsize: int):
 
     witness = first_suffix(())
     return None if witness is None else tuple(candidates[i] for i in witness)
+
+
+_REFERENCE_NUMERAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def _reference_bounded(value: int, what: str) -> int:
+    if abs(value) >= 10**MAX_NUMERAL_DIGITS:
+        raise SchemaError(f"{what} has more than {MAX_NUMERAL_DIGITS} digits")
+    return value
+
+
+def _reference_ratio(obj) -> tuple[int, int]:
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return _reference_bounded(obj, "an integer"), 1
+    if isinstance(obj, str) and _REFERENCE_NUMERAL.fullmatch(obj):
+        num, _, den = obj.partition("/")
+        if max(len(num.lstrip("-")), len(den)) > MAX_NUMERAL_DIGITS:
+            raise SchemaError(f"a rational has a numeral of more than {MAX_NUMERAL_DIGITS} digits")
+        return int(num), int(den or 1)
+    raise SchemaError(f"expected a rational 'p/q' string, got {obj!r}")
+
+
+def reference_union_from_obj(obj) -> IntervalUnion:
+    """Reference loader: ``union_from_obj`` as it was before the bulk parse.
+
+    One pair at a time, each endpoint matched and split on its own and each
+    pair's order checked by cross-multiplying; then the common denominator
+    is bounded and the ends scaled. Same unions and same ``SchemaError``
+    texts as the loader it checks, with none of its code.
+    """
+    if not isinstance(obj, list):
+        raise SchemaError(f"expected a list of [lo, hi] pairs, got {obj!r}")
+    nums, dens = [], []  # the endpoints in file order, lo then hi
+    for item in obj:
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError(f"expected an [lo, hi] pair, got {item!r}")
+        (lo_num, lo_den), (hi_num, hi_den) = _reference_ratio(item[0]), _reference_ratio(item[1])
+        if lo_num * hi_den > hi_num * lo_den:
+            lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+            raise SchemaError(f"endpoints out of order: {lo} > {hi}")
+        nums += (lo_num, hi_num)
+        dens += (lo_den, hi_den)
+    scale = 1
+    for den in set(dens):
+        scale = _reference_bounded(math.lcm(scale, den), "the common denominator of the endpoints")
+    ends = [num * (scale // den) for num, den in zip(nums, dens)]
+    return IntervalUnion._from_pairs(scale, list(zip(ends[::2], ends[1::2])))
 
 
 def assert_canonical(union: IntervalUnion) -> None:

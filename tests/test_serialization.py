@@ -1,13 +1,15 @@
 """The JSON interchange format and its schema checks."""
 
 import json
+import re
+from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_unions, rationals
+from conftest import interval_unions, rationals, reference_union_from_obj
 from sumset_races import (
     DiffMatrix,
     Interval,
@@ -17,6 +19,7 @@ from sumset_races import (
     verify_differences,
     verify_tau_race,
 )
+from sumset_races import serialization
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 from sumset_races.serialization import (
     SchemaError,
@@ -32,6 +35,9 @@ from sumset_races.serialization import (
     union_to_obj,
     write_json,
 )
+
+
+BIG_DENOMINATORS = [["0", f"1/{2**1700}"], ["0", f"1/{3**1100}"]]  # lcm past 1000 digits
 
 
 class TestRationals:
@@ -118,6 +124,7 @@ class TestLoadPath:
             ([["-1/1", "-0"]], [["-1", "0"]]),
             ([["1", "1"], ["0", "1/2"], ["5", "5"]], [["0", "1/2"], ["1", "1"], ["5", "5"]]),  # points
             ([[1, "2"]], [["1", "2"]]),  # a JSON int endpoint
+            ([["-0", "007"]], [["0", "7"]]),  # leading zeros
             ([], []),
         ],
     )
@@ -140,12 +147,18 @@ class TestLoadPath:
             ([["1", "1/0"]], "expected a rational 'p/q' string, got '1/0'"),
             ([[True, "1"]], "expected a rational 'p/q' string, got True"),
             ("x", "expected a list of [lo, hi] pairs, got 'x'"),
+            (BIG_DENOMINATORS, "the common denominator of the endpoints has more than 1000 digits"),
         ],
     )
     def test_errors(self, obj, message):
         with pytest.raises(SchemaError) as err:
             union_from_obj(obj)
         assert str(err.value) == message
+
+    def test_a_refusal_with_no_fault_found_is_a_bug_not_a_schema_error(self, monkeypatch):
+        monkeypatch.setattr(serialization, "_NUMERALS", re.compile("(no)(match)"))
+        with pytest.raises(RuntimeError):
+            union_from_obj([["0", "1"]])
 
     def test_build_file_round_trips_byte_identically(self, tmp_path):
         diffs = DiffMatrix(((3, -1, 2), (-2, 4, 0)))
@@ -157,6 +170,91 @@ class TestLoadPath:
         again = tmp_path / "again.json"
         write_json(again, data)
         assert again.read_bytes() == path.read_bytes()
+
+
+# Endpoints that no loader accepts.
+FAULTY_ENDPOINTS = [
+    "1 2", "", "+1", " 1", "1\n", "\u0661", "1/01", "1/0", "3/-4", "--1", "1//2", "1/2/3",
+    "a", "1.5", 1.5, None, True, False, [1], "9" * 1001, "1/" + "9" * 1001, 10**1000,
+]  # fmt: skip
+
+
+@st.composite
+def numerals(draw):
+    """A numeral for num/den in one of its spellings: "p/q", "p", a JSON int, zero-padded, "-0"."""
+    num, den = draw(st.integers(-40, 40)), draw(st.integers(1, 12))
+    spellings = [f"{num}/{den}", f"{'-' if num < 0 else ''}00{abs(num)}/{den}"]
+    if den == 1:
+        spellings += [str(num), num, f"{num:04d}"]
+    if num == 0:
+        spellings += ["-0", f"-0/{den}"]
+    return F(num, den), draw(st.sampled_from(spellings))
+
+
+@st.composite
+def union_objs(draw):
+    """Lists of [lo, hi] numeral pairs, in order or not, some with faults put in.
+
+    Most draws are well formed, so the unions are compared too; the rest
+    hold one to three faults (a bad endpoint, a pair out of order, an item
+    that is no pair) at random places, so which fault comes first varies.
+    """
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        (a, a_text), (b, b_text) = draw(numerals()), draw(numerals())
+        pairs.append([a_text, b_text] if a <= b else [b_text, a_text])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        whole = [i for i, pair in enumerate(pairs) if type(pair) is list and len(pair) == 2]
+        if not whole:
+            break
+        i, kind = draw(st.sampled_from(whole)), draw(st.sampled_from("EEOS"))
+        if kind == "E":
+            pairs[i][draw(st.integers(0, 1))] = draw(st.sampled_from(FAULTY_ENDPOINTS))
+        elif kind == "O":
+            pairs[i].reverse()
+        else:
+            pairs[i] = draw(st.sampled_from([["0"], ["0", "1", "2"], "x", None, ("0", "1")]))
+    return pairs
+
+
+def load_outcome(load, obj):
+    """The union ``load`` makes of ``obj``, or the text of the ``SchemaError`` it raises."""
+    try:
+        return load(obj)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+class TestLoaderMatchesReference:
+    """``union_from_obj`` against the per-pair loader it replaced (tests/conftest.py)."""
+
+    @given(union_objs())
+    @example([["1 2", "3"]])
+    @example([["1 2", "a"]])  # a space inside one endpoint, a non-numeral in the other
+    @example([["", "1"]])
+    @example([["+1", "2"]])
+    @example([[" 1", "2"]])
+    @example([["0", "1\n"]])
+    @example([["\u0661", "2"]])
+    @example([["0", "1/01"]])
+    @example([["-0", "007"]])
+    @example([["0", "9" * 1000], ["-" + "9" * 1000, "1/" + "9" * 1000]])
+    @example([["0", "9" * 1001]])
+    @example([["0", "1/" + "9" * 1001]])
+    @example([[0, 10**1000]])
+    @example([[0, 10**1000 - 1]])
+    @example([[0, 10**5000]])  # too long for str(), refused as too many digits
+    @example([[True, "1"]])
+    @example([["0", 1.5]])
+    @example([[None, "1"]])
+    @example(BIG_DENOMINATORS)
+    @example(BIG_DENOMINATORS + [["2", "1"]])  # the order fault comes first
+    @example([["2", "1"], ["a", "1"]])  # an order fault before a malformed endpoint
+    @example([["a", "1"], ["2", "1"]])  # and after one
+    @example([])
+    @example("[[0, 1]]")
+    def test_prop_same_union_or_same_refusal(self, obj):
+        assert load_outcome(union_from_obj, obj) == load_outcome(reference_union_from_obj, obj)
 
 
 class TestProblemFiles:
@@ -342,6 +440,14 @@ json_values = st.recursive(
 )
 
 
+class Colour(IntEnum):
+    RED = 1
+
+
+class Label(str):
+    pass
+
+
 class TestWriteJson:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(json_values)
@@ -357,7 +463,12 @@ class TestWriteJson:
         assert path.read_text() == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize(
-        "obj", [1.5, None, (1, 2), {1: "a"}, ["ok", None], {"a": [1, 2.0]}, {"a", "b"}]
+        "obj",
+        [
+            *(1.5, None, (1, 2), {1: "a"}, ["ok", None], {"a": [1, 2.0]}, {"a", "b"}),
+            Colour.RED,  # an int subclass
+            Label("ok"),  # a str subclass
+        ],
     )
     def test_rejects_what_the_outputs_never_hold(self, tmp_path, obj):
         with pytest.raises(TypeError):
