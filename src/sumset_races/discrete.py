@@ -23,7 +23,7 @@ folds) the targets ``[[1, 2, ..., 10]] * 3`` take about 45 s to exhaust.
 Far above the spaces the benchmark catalogue and the CLI defaults use (6885 candidates
 at ground 16, maxsize 6; 794 at ground 12, maxsize 5). The heaviest shape
 within it that was tried, ground 19 and maxsize 20 with 64 folds (524,288
-candidates, 10,902 profiles), takes about 12 s and 67 MB on a 2-vCPU VM.
+candidates, 10,902 profiles), takes about 10 s and 67 MB on a 2-vCPU VM.
 """
 
 __all__ = [
@@ -138,24 +138,34 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
     # maximum, reaches the sets of one size in lexicographic order. Each fold
     # is an int whose bit s is set when s is in hB, and B + {x} folds from B
     # with one shift-OR per fold: h(B + {x}) = hB | ((h-1)(B + {x}) + x).
+    # Nothing reads a leaf's folds, so a leaf keeps only each fold's
+    # popcount as it goes, and its set is built only for a new profile.
     def grow(base: IntSet, folds: list[int]) -> None:
         size = len(base) + 1
-        leaf = size == top
-        start = base[-1] + 1
-        if leaf and size > 2:
-            # A leaf B = base + (x,) with x - B[-2] < B[1] has a mirror x - B
-            # of its size and profile that is lexicographically smaller, so
-            # that profile was recorded first.
-            start = base[-1] + base[1]
-        for x in range(start, ground + 1):
+        if size == top:
+            start = base[-1] + 1
+            if size > 2:
+                # A leaf B = base + (x,) with x - B[-2] < B[1] has a mirror
+                # x - B of its size and profile that is lexicographically
+                # smaller, so that profile was recorded first.
+                start = base[-1] + base[1]
+            for x in range(start, ground + 1):
+                counts, prev = [], 1
+                for fold in folds:
+                    prev = fold | (prev << x)
+                    counts.append(prev.bit_count())
+                key = tuple(counts)
+                if key not in firsts:
+                    firsts[key] = base + (x,)
+            return
+        for x in range(base[-1] + 1, ground + 1):
             child, prev = [], 1
             for fold in folds:
                 prev = fold | (prev << x)
                 child.append(prev)
             cand = base + (x,)
             firsts.setdefault(tuple(map(int.bit_count, child)), cand)
-            if not leaf:
-                grow(cand, child)
+            grow(cand, child)
 
     if top > 1:
         grow((0,), [1] * horizon)
@@ -211,7 +221,10 @@ def search_race_sets(
     order, so the table, sorted once by (size, set), lists profiles as the
     (size, lex) enumeration meets them. Sets of the largest size are
     leaves, and one whose mirror max B - B is lexicographically smaller is
-    skipped unfolded: the mirror has the same profile and came first.
+    skipped unfolded: the mirror has the same profile and came first. The
+    other leaves are scored without being built: each fold's popcount is
+    taken as the fold is made, no fold is kept, and the set's tuple is
+    made only when its profile is new.
 
     The depth-first search numbers profiles in table order. For each fold
     h and value v it holds the bitmask of the profiles with |hB| <= v; the

@@ -110,9 +110,12 @@ def render(rows: list[RenderRow], title: str = "interval sets") -> str:
             f'<line x1="{track_lo:.1f}" y1="{y:.1f}" x2="{track_hi:.1f}" y2="{y:.1f}" '
             f'stroke="#ddd" stroke-width="1"/>'
         )
+        # format_rational writes only "-", digits and "/", which escape leaves
+        # alone, so the label is escaped once for the row and not per tooltip
+        label = escape(row.label)
         out.append(
             f'<text x="4" y="{y + 4:.1f}" font-family="sans-serif" '
-            f'font-size="12" fill="#333">{escape(row.label)}</text>'
+            f'font-size="12" fill="#333">{label}</text>'
         )
         # x - xmin = (x * od - on * scale) / (scale * od) for x = lo / scale, xmin = on / od
         scale = row.union.scale
@@ -120,9 +123,7 @@ def render(rows: list[RenderRow], title: str = "interval sets") -> str:
         for lo, hi in row.union.pairs:
             lo_px = track_lo + x_scale * ((lo * od - left) / den)
             hi_px = track_lo + x_scale * ((hi * od - left) / den)
-            tip = escape(
-                f"{row.label}: [{format_rational(lo, scale)}, {format_rational(hi, scale)}]"
-            )
+            tip = f"{label}: [{format_rational(lo, scale)}, {format_rational(hi, scale)}]"
             if lo == hi:
                 out.append(
                     f'<circle cx="{lo_px:.2f}" cy="{y:.1f}" r="2.5" fill="{row.color}">'

@@ -225,12 +225,25 @@ def reference_profile_table(ground, maxsize, horizon):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 12), st.integers(1, 6), st.integers(1, 8))
+@example(0, 3, 2)  # top 1: no walk
+@example(1, 2, 2)  # top 2: the root's children are leaves, no mirror skip
+@example(5, 2, 3)
+@example(5, 3, 3)  # the first shape with a mirror skip
+@example(3, 9, 4)  # maxsize past ground + 1
+@example(12, 5, 1)  # one fold
+@example(9, 6, 30)  # many folds at the leaves
 def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
     # same profiles, same first candidates, in the same order
     table = _profile_table(ground, maxsize, horizon)
     assert list(table.items()) == list(reference_profile_table(ground, maxsize, horizon).items())
     # |1B| = |B|, so a profile fixes its candidates' size
     assert all(profile[0] == len(cand) for profile, cand in table.items())
+
+
+# the (ground, maxsize, horizon) shapes of the race-search benchmark and the CLI default
+@pytest.mark.parametrize("shape", [(12, 5, 2), (12, 5, 4), (14, 6, 2), (14, 6, 3), (16, 6, 2)])
+def test_profile_table_matches_reference_on_benchmark_shapes(shape):
+    assert list(_profile_table(*shape).items()) == list(reference_profile_table(*shape).items())
 
 
 def test_profile_table_memory_stays_small():

@@ -1,5 +1,6 @@
 """The x -> pixel map, its refusals, and the XML escapers."""
 
+import re
 from fractions import Fraction as F
 from itertools import product
 from xml.sax import saxutils
@@ -71,6 +72,13 @@ class TestLayout:
         height = TOP_PAD + ROW_HEIGHT * 2 + BOTTOM_PAD
         assert f'width="{WIDTH}" height="{height}"' in doc.splitlines()[0]
         assert doc.count('<g class="row"') == 2
+
+
+def test_tooltips_escape_the_whole_tip():
+    label = "a&b<c>d"
+    doc = render([row(label, (0, F(1, 2)), (1, 1))])
+    tips = re.findall(r"<title>([^<]*)</title></(?:rect|circle)>", doc)
+    assert tips == [saxutils.escape(f"{label}: [0, 1/2]"), saxutils.escape(f"{label}: [1, 1]")]
 
 
 # every character the escapers treat specially, plus three they leave alone
