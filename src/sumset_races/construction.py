@@ -169,32 +169,28 @@ def solve_steps(diffs: DiffMatrix) -> StepMatrix:
     return StepMatrix(tuple(rows))
 
 
-def _lift_column(steps: Sequence[int]) -> list[int]:
-    """Smallest nonnegative sequence whose successive differences are ``steps``."""
-    sums = [0, *accumulate(steps)]
-    lowest = min(sums)
-    return [p - lowest for p in sums]
-
-
 def lift_steps(steps: StepMatrix) -> CarveMatrix:
     """Lift step increments to nonnegative multiplicity rows with positive totals.
 
     Each width class lifts independently to its minimal nonnegative
-    solution. If some set then carves nothing at all, every set gets one
+    solution: the prefix sums of its column of steps, from 0, minus their
+    least. If some set then carves nothing at all, every set gets one
     extra width-1 gap: a constant added to a whole column shifts no
     difference, and it guarantees every carved block is a proper subset
     of its base block.
     """
-    n, H = steps.n, steps.H
-    columns = [_lift_column([steps.rows[i][r] for i in range(n - 1)]) for r in range(H)]
-    rows = [[columns[r][i] for r in range(H)] for i in range(n)]
+    columns = []
+    for column in zip(*steps.rows):
+        sums = [0, *accumulate(column)]
+        lowest = min(sums)
+        columns.append([p - lowest for p in sums])
+    rows = [list(row) for row in zip(*columns)]
     if any(sum(row) == 0 for row in rows):
         for row in rows:
             row[0] += 1
-    for i in range(n - 1):
-        for r in range(H):
-            if rows[i + 1][r] - rows[i][r] != steps.rows[i][r]:
-                raise InternalCheckError("lift does not reproduce its steps")
+    for lower, upper, step in zip(rows, rows[1:], steps.rows):
+        if any(b - a != d for a, b, d in zip(lower, upper, step)):
+            raise InternalCheckError("lift does not reproduce its steps")
     return CarveMatrix(tuple(tuple(r) for r in rows))
 
 

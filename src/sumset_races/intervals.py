@@ -16,17 +16,19 @@ A Minkowski sum A + B is the union, over the parts [lo, lo + L] of A, of
 B thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of B no wider than L, so the sum costs what its output costs rather than
 one piece per pair of parts. ``_Thickenings`` lists B's gaps widest first,
-so every thickening is a prefix of two fixed lists. The integer kernel
-``_int_sum`` groups A's parts by how many gaps their length leaves open
-and adds each group's shifts to that prefix with C-level ``map``.
+so every thickening is a prefix of two fixed lists. The integer kernel has
+one call shape, ``_int_sum(a, thickened)``: B always arrives as its
+``_Thickenings``, and an empty operand on either side yields no pieces.
+It groups A's parts by how many gaps their length leaves open and adds
+each group's shifts to that prefix with C-level ``map``.
 ``_merged``, the one merge routine, then sorts the starts and the ends
 separately and cuts wherever an end falls below the next start.
 
 Every fold routine climbs one ladder, hA = (h-1)A + A, built by
-``_fold_ladder``, and every rung is one call of ``_int_sum``. A's scale
-is a common denominator of every hA, so ``IntervalUnion.fold_measures``
-climbs the ladder on A's pairs, with one ``_Thickenings`` of A built once
-and shared by every rung, and makes one ``Fraction`` per fold.
+``_fold_ladder`` from a one-argument step, and every rung is one call of
+``_int_sum``. A's scale is a common denominator of every hA, so
+``IntervalUnion.fold_measures`` climbs the ladder on A's pairs, with one
+``_Thickenings`` of A shared by every rung, and makes one ``Fraction`` per fold.
 ``IntervalUnion.folds`` (and ``hfold``, its last rung) climbs it on
 unions, one ``__add__`` per rung, because its callers need the folds
 themselves. The module also holds the checks every other module shares:
@@ -280,9 +282,8 @@ class IntervalUnion:
         if not isinstance(other, IntervalUnion):
             return NotImplemented
         scale = math.lcm(self._scale, other._scale)
-        return IntervalUnion._from_pairs(
-            scale, _int_sum(_rescaled(self, scale), _rescaled(other, scale))
-        )
+        thickened = _Thickenings(_rescaled(other, scale))
+        return IntervalUnion._from_pairs(scale, _int_sum(_rescaled(self, scale), thickened))
 
     def folds(self, H: int) -> list["IntervalUnion"]:
         """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
@@ -290,7 +291,7 @@ class IntervalUnion:
         Each fold is one sum, hA = (h-1)A + A, so the whole ladder costs
         H - 1 calls of ``__add__``; ``hfold`` is its last entry.
         """
-        return _fold_ladder(self, H, operator.add)
+        return _fold_ladder(self, H, lambda prev: prev + self)
 
     def fold_measures(self, H: int) -> list[Fraction]:
         """The measures of the folds 1A, ..., HA, without building the folds.
@@ -299,11 +300,11 @@ class IntervalUnion:
         is also a common denominator of every hA, since hA's endpoints are
         sums of A's, so the ladder climbs on A's integer pairs, one
         ``_int_sum`` per rung, and each measure is one ``Fraction`` over a
-        fold's integer lengths. A's ``_Thickenings`` (two lists in gap-width
-        order) is built once and shared by every rung.
+        fold's integer lengths. A's ``_Thickenings`` (lists in gap-width
+        order, empty when A is) is built once and shared by every rung.
         """
-        thickened = _Thickenings(self._pairs) if self._pairs else None
-        ladder = _fold_ladder(self._pairs, H, lambda prev, a: _int_sum(prev, a, thickened))
+        thickened = _Thickenings(self._pairs)
+        ladder = _fold_ladder(self._pairs, H, lambda prev: _int_sum(prev, thickened))
         return [Fraction(_total_length(pairs), self._scale) for pairs in ladder]
 
     def hfold(self, h: int) -> "IntervalUnion":
@@ -387,7 +388,9 @@ class _Thickenings:
     part's end and then each gap's left end: the thickening by L is their
     first ``bisect_left(neg_widths, -L) + 1`` entries, L added to the ends.
     They follow width order, not position; ``_merged`` sorts starts and
-    ends apart, so only their multisets matter.
+    ends apart, so only their multisets matter. The empty union has no
+    first or last part and no gaps, so all three lists are empty and
+    every thickening of it has no pieces.
     """
 
     __slots__ = ("neg_widths", "starts", "ends")
@@ -397,43 +400,40 @@ class _Thickenings:
         # the gaps sort widest first and the keys ascend, ready for bisect.
         by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
         self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in by_width]
-        self.starts = [parts[0][0], *(parts[i + 1][0] for i in by_width)]
-        self.ends = [parts[-1][1], *(parts[i][1] for i in by_width)]
+        self.starts = [*(lo for lo, _ in parts[:1]), *(parts[i + 1][0] for i in by_width)]
+        self.ends = [*(hi for _, hi in parts[-1:]), *(parts[i][1] for i in by_width)]
 
 
-def _fold_ladder(first, H: int, add) -> list:
-    """[1A, ..., HA] for A = ``first``, each rung hA = add((h-1)A, A).
+def _fold_ladder(first, H: int, step) -> list:
+    """[1A, ..., HA] for A = ``first``, each rung hA = step((h-1)A).
 
-    The one fold ladder: ``folds`` climbs it on unions with ``+`` and
-    ``fold_measures`` on integer pairs with ``_int_sum``, sharing one
-    ``_Thickenings`` of A across its rungs.
+    The one fold ladder. ``step`` adds A to the rung below: ``folds``
+    passes ``prev + A`` on unions, and ``fold_measures`` passes
+    ``_int_sum`` on integer pairs with one ``_Thickenings`` of A shared
+    by every rung.
     """
     _require_int(H, "fold count", lo=1)
     ladder = [first]
     for _ in range(H - 1):
-        ladder.append(add(ladder[-1], first))
+        ladder.append(step(ladder[-1]))
     return ladder
 
 
-def _int_sum(
-    a: IntPairs, b: IntPairs, thickened_b: _Thickenings | None = None
-) -> list[tuple[int, int]]:
-    """Minkowski sum of two canonical unions given as sorted integer pairs.
+def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:
+    """Minkowski sum a + b of canonical unions, a as sorted integer pairs.
 
-    For a part [lo, hi] of ``a``, ``[lo, hi] + b`` is b thickened by
-    L = hi - lo and shifted by lo: its k pieces start at lo plus the first
-    k of ``_Thickenings(b).starts`` and end at hi plus the first k of its
-    ``ends``, where k - 1 gaps of b are wider than L. ``thickened_b``, when
-    given, is ``_Thickenings(b)`` kept by the caller, as a ladder keeps A's.
+    b arrives only as ``thickened`` = ``_Thickenings(b)``, which a ladder
+    builds once for all its rungs. For a part [lo, hi] of ``a``,
+    ``[lo, hi] + b`` is b thickened by L = hi - lo and shifted by lo: its
+    k pieces start at lo plus the first k of ``thickened.starts`` and end
+    at hi plus the first k of its ``ends`` (none when b is empty), where
+    k - 1 gaps of b are wider than L.
     One bisection per distinct part length finds k; the parts with equal k
     form one group, whose los and his are added to the k starts and ends
     with C-level ``map``, looping over whichever of the group and the k is
     shorter. So the work follows the output rather than the p*q part pairs.
     ``_merged`` sorts and merges the pieces, touching ones included.
     """
-    if not a or not b:
-        return []
-    thickened = _Thickenings(b) if thickened_b is None else thickened_b
     neg_widths, piece_starts, piece_ends = thickened.neg_widths, thickened.starts, thickened.ends
     los_by_length: dict[int, list[int]] = {}
     for lo, hi in a:

@@ -35,13 +35,15 @@ def realize(
     never meet and each fold's measure is exactly |hB| * h * width. The
     horizon is an int >= 1 and at least one base set, none empty, is
     needed; a set may list its elements in any order and with repeats.
+    Block b is the integer pair (b*k, b*k + 1) over k = horizon + 1.
     """
     _require_int(horizon, "horizon", lo=1)
     bases = [as_int_set(b) for b in base_sets]
     if not bases or not all(bases):
         raise ValueError("need at least one base set, and every base set must be nonempty")
-    width = Fraction(1, horizon + 1)
-    return tuple(IntervalUnion((b, b + width) for b in base) for base in bases), width
+    k = horizon + 1
+    blocks = ([(b * k, b * k + 1) for b in base] for base in bases)
+    return tuple(IntervalUnion._from_pairs(k, pairs) for pairs in blocks), Fraction(1, k)
 
 
 class TauRaceCheck(NamedTuple):

@@ -28,7 +28,7 @@ from sumset_races import (
     verify_differences,
 )
 from sumset_races import construction
-from sumset_races.construction import MAX_BUILD_GAPS, BuildBudgetError, _lift_column
+from sumset_races.construction import MAX_BUILD_GAPS, BuildBudgetError
 
 
 def exact_params(H=2, max_gaps=1):
@@ -69,9 +69,15 @@ class TestSolveSteps:
 
 class TestLiftSteps:
     def test_single_column_minimal_lift(self):
-        assert _lift_column([-2]) == [2, 0]
-        assert _lift_column([1, -3]) == [2, 3, 0]
-        assert _lift_column([0, 0]) == [0, 0, 0]
+        # each column is width class 2, beside an all-zero class 1; its
+        # prefix sums from 0, minus their least, are the smallest
+        # nonnegative lift, and the repair adds 1 to class 1 only
+        # (-2): sums (0, -2), lift (2, 0); the second set carves nothing
+        assert lift_steps(StepMatrix(((0, -2),))).rows == ((1, 2), (1, 0))
+        # (1, -3): sums (0, 1, -2), lift (2, 3, 0); the third set carves nothing
+        assert lift_steps(StepMatrix(((0, 1), (0, -3)))).rows == ((1, 2), (1, 3), (1, 0))
+        # (0, 0): sums (0, 0, 0), lift (0, 0, 0); no set carves anything
+        assert lift_steps(StepMatrix(((0, 0), (0, 0)))).rows == ((1, 0), (1, 0), (1, 0))
 
     def test_example_with_zero_row_repair(self):
         lifted = lift_steps(StepMatrix(((1, 0),)))
@@ -93,6 +99,13 @@ class TestLiftSteps:
         lifted = lift_steps(StepMatrix(rows))
         assert all(v >= 0 for row in lifted.rows for v in row)
         assert all(total > 0 for total in lifted.row_totals)
+        # minimal: every width class reaches 0, except class 1 when the
+        # repair fired, which raised an all-zero set to (1, 0, ..., 0)
+        lowest = [min(column) for column in zip(*lifted.rows)]
+        assert lowest[1:] == [0] * (H - 1)
+        assert lowest[0] in (0, 1)
+        if lowest[0] == 1:
+            assert (1, *[0] * (H - 1)) in lifted.rows
         for i in range(n - 1):
             for r in range(H):
                 assert lifted.rows[i + 1][r] - lifted.rows[i][r] == rows[i][r]

@@ -532,6 +532,9 @@ TWO_BRACKETS = (
 # point parts in a (L = 0) leave every gap of b open
 @example(U((0, 0), (4, 4), (6, 7)), U((0, 1), (2, 3), (F(7, 2), 5)))
 @example(*TWO_BRACKETS)
+# an empty operand on either side: no pieces, and the sum is empty
+@example(U((0, 1), (3, 4)), IntervalUnion())
+@example(IntervalUnion(), U((0, 1), (3, 4)))
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     reference = pairwise_sum(a, b)
     assert a + b == reference
@@ -541,7 +544,7 @@ def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     b_pairs = [(lo * (scale // b.scale), hi * (scale // b.scale)) for lo, hi in b.pairs]
     shared = _Thickenings(b_pairs)
     for _ in range(2):
-        assert IntervalUnion._from_pairs(scale, _int_sum(a_pairs, b_pairs, shared)) == reference
+        assert IntervalUnion._from_pairs(scale, _int_sum(a_pairs, shared)) == reference
 
 
 @settings(max_examples=20, deadline=None)
@@ -556,5 +559,10 @@ def test_prop_fold_measures_with_shared_thickenings_match_iterated_pairwise_sums
     assert u.fold_measures(H) == [fold.measure() for fold in reference]
     # the same ladder on integer pairs, with A's thickenings shared by every rung
     shared = _Thickenings(u.pairs)
-    ladder = _fold_ladder(u.pairs, H, lambda prev, a: _int_sum(prev, a, shared))
+    ladder = _fold_ladder(u.pairs, H, lambda prev: _int_sum(prev, shared))
     assert [IntervalUnion._from_pairs(u.scale, pairs) for pairs in ladder] == reference
+
+
+def test_thickenings_of_the_empty_union_are_three_empty_lists():
+    empty = _Thickenings(())
+    assert (empty.neg_widths, empty.starts, empty.ends) == ([], [], [])

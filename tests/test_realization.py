@@ -58,6 +58,7 @@ class TestRealize:
     def test_prop_fold_measure_is_card_times_block(self, bases, horizon):
         sets, width = realize(bases, horizon)
         for base, realized in zip(bases, sets):
+            assert realized == IntervalUnion((b, b + width) for b in base)
             for h in range(1, horizon + 1):
                 folded = realized.hfold(h)
                 card = len(hfold_ints(base, h))
