@@ -24,11 +24,13 @@ each group's shifts to that prefix with C-level ``map``.
 ``_merged``, the one merge routine, then sorts the starts and the ends
 separately and cuts wherever an end falls below the next start.
 
-Every fold routine climbs one ladder, hA = (h-1)A + A, built by
-``_fold_ladder`` from a one-argument step, and every rung is one call of
-``_int_sum``. A's scale is a common denominator of every hA, so
+Every fold routine climbs one ladder, hA = (h-1)A + A, as the standard
+library's lazy fold (``itertools.accumulate``, or ``functools.reduce``
+for the last rung alone), and every rung is one call of ``_int_sum``.
+A's scale is a common denominator of every hA, so
 ``IntervalUnion.fold_measures`` climbs the ladder on A's pairs, with one
-``_Thickenings`` of A shared by every rung, and makes one ``Fraction`` per fold.
+``_Thickenings`` of A shared by every rung, measures each rung before it
+makes the next, and makes one ``Fraction`` per fold.
 ``IntervalUnion.folds`` (and ``hfold``, its last rung) climbs it on
 unions, one ``__add__`` per rung, because its callers need the folds
 themselves. The module also holds the checks every other module shares:
@@ -41,7 +43,8 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, compress, pairwise, repeat, starmap
+from functools import reduce
+from itertools import accumulate, chain, compress, pairwise, repeat, starmap
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -291,7 +294,8 @@ class IntervalUnion:
         Each fold is one sum, hA = (h-1)A + A, so the whole ladder costs
         H - 1 calls of ``__add__``; ``hfold`` is its last entry.
         """
-        return _fold_ladder(self, H, lambda prev: prev + self)
+        _require_int(H, "fold count", lo=1)
+        return list(accumulate(repeat(self, H), operator.add))
 
     def fold_measures(self, H: int) -> list[Fraction]:
         """The measures of the folds 1A, ..., HA, without building the folds.
@@ -302,14 +306,22 @@ class IntervalUnion:
         ``_int_sum`` per rung, and each measure is one ``Fraction`` over a
         fold's integer lengths. A's ``_Thickenings`` (lists in gap-width
         order, empty when A is) is built once and shared by every rung.
+        The ladder is lazy: each rung is measured before the next is made,
+        so only the rung below and the rung being made are alive at once.
         """
+        _require_int(H, "fold count", lo=1)
         thickened = _Thickenings(self._pairs)
-        ladder = _fold_ladder(self._pairs, H, lambda prev: _int_sum(prev, thickened))
+        ladder = accumulate(repeat(thickened, H - 1), _int_sum, initial=self._pairs)
         return [Fraction(_total_length(pairs), self._scale) for pairs in ladder]
 
     def hfold(self, h: int) -> "IntervalUnion":
-        """h-fold Minkowski sum of the union with itself (h >= 1)."""
-        return self.folds(h)[-1]
+        """h-fold Minkowski sum of the union with itself (h >= 1).
+
+        The last rung of ``folds(h)``, climbed with the same h - 1 calls of
+        ``__add__``, keeping only the rung below.
+        """
+        _require_int(h, "fold count", lo=1)
+        return reduce(operator.add, repeat(self, h))
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
         """Remove the interiors of ``other``'s parts, keeping all endpoints.
@@ -402,21 +414,6 @@ class _Thickenings:
         self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in by_width]
         self.starts = [*(lo for lo, _ in parts[:1]), *(parts[i + 1][0] for i in by_width)]
         self.ends = [*(hi for _, hi in parts[-1:]), *(parts[i][1] for i in by_width)]
-
-
-def _fold_ladder(first, H: int, step) -> list:
-    """[1A, ..., HA] for A = ``first``, each rung hA = step((h-1)A).
-
-    The one fold ladder. ``step`` adds A to the rung below: ``folds``
-    passes ``prev + A`` on unions, and ``fold_measures`` passes
-    ``_int_sum`` on integer pairs with one ``_Thickenings`` of A shared
-    by every rung.
-    """
-    _require_int(H, "fold count", lo=1)
-    ladder = [first]
-    for _ in range(H - 1):
-        ladder.append(step(ladder[-1]))
-    return ladder
 
 
 def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:

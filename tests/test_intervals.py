@@ -27,8 +27,8 @@ from conftest import (
     reference_translate,
     tied_unions,
 )
-from sumset_races import Interval, IntervalUnion, grid_measure_oracle
-from sumset_races.intervals import _fold_ladder, _int_sum, _merged, _Thickenings
+from sumset_races import Interval, IntervalUnion, grid_measure_oracle, intervals
+from sumset_races.intervals import _int_sum, _merged, _Thickenings
 
 
 def U(*pairs):
@@ -124,7 +124,7 @@ class TestHfold:
         assert x.hfold(3) == folded == U((0, F(33, 4)))
         assert folded == U((0, 3 * (3 - F(1, 4))))
 
-    @pytest.mark.parametrize("bad", [0, -1, F(1, 2), True])
+    @pytest.mark.parametrize("bad", [0, -1, F(1, 2), True, 1.0])
     def test_rejects_bad_fold_counts(self, bad):
         with pytest.raises((ValueError, TypeError)):
             U((0, 1)).hfold(bad)
@@ -140,6 +140,24 @@ class TestHfold:
     def test_fold_measures_of_the_filler(self):
         x = U((0, F(3, 4)), (2, F(11, 4)))
         assert x.fold_measures(3) == [F(3, 2), (x + x).measure(), F(33, 4)]
+
+    def test_fold_measures_measure_each_rung_before_making_the_next(self, monkeypatch):
+        log = []
+        int_sum, total_length = intervals._int_sum, intervals._total_length
+
+        def summed(a, thickened):
+            log.append("sum")
+            return int_sum(a, thickened)
+
+        def measured(pairs):
+            log.append("measure")
+            return total_length(pairs)
+
+        monkeypatch.setattr(intervals, "_int_sum", summed)
+        monkeypatch.setattr(intervals, "_total_length", measured)
+        x = U((0, F(3, 4)), (2, F(11, 4)))
+        assert x.fold_measures(4) == [F(3, 2), F(9, 2), F(33, 4), 11]
+        assert log == ["measure", "sum"] * 3 + ["measure"]
 
     def test_folds_of_the_empty_union(self):
         assert IntervalUnion().folds(3) == [IntervalUnion()] * 3
@@ -559,7 +577,9 @@ def test_prop_fold_measures_with_shared_thickenings_match_iterated_pairwise_sums
     assert u.fold_measures(H) == [fold.measure() for fold in reference]
     # the same ladder on integer pairs, with A's thickenings shared by every rung
     shared = _Thickenings(u.pairs)
-    ladder = _fold_ladder(u.pairs, H, lambda prev: _int_sum(prev, shared))
+    ladder = [u.pairs]
+    for _ in range(H - 1):
+        ladder.append(_int_sum(ladder[-1], shared))
     assert [IntervalUnion._from_pairs(u.scale, pairs) for pairs in ladder] == reference
 
 
