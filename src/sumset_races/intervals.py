@@ -24,16 +24,16 @@ each group's shifts to that prefix with C-level ``map``.
 ``_merged``, the one merge routine, then sorts the starts and the ends
 separately and cuts wherever an end falls below the next start.
 
-Every fold routine climbs one ladder, hA = (h-1)A + A, as the standard
-library's lazy fold (``itertools.accumulate``, or ``functools.reduce``
-for the last rung alone), and every rung is one call of ``_int_sum``.
-A's scale is a common denominator of every hA, so
-``IntervalUnion.fold_measures`` climbs the ladder on A's pairs, with one
-``_Thickenings`` of A shared by every rung, measures each rung before it
-makes the next, and makes one ``Fraction`` per fold.
-``IntervalUnion.folds`` (and ``hfold``, its last rung) climbs it on
-unions, one ``__add__`` per rung, because its callers need the folds
-themselves. The module also holds the checks every other module shares:
+Every fold routine climbs the ladder hA = (h-1)A + A with the standard
+library's lazy fold. ``IntervalUnion.folds`` and ``fold_measures`` climb
+one integer ladder, ``itertools.accumulate`` of ``_int_sum`` on A's
+pairs: A's scale is a common denominator of every hA, so one
+``_Thickenings`` of A is shared by every rung and each rung is one call
+of ``_int_sum``. ``fold_measures`` measures each rung before it makes
+the next and makes one ``Fraction`` per fold; ``folds`` makes each rung
+a union, because its callers need the folds themselves.
+``IntervalUnion.hfold`` is h - 1 sums with ``+`` (``functools.reduce``).
+The module also holds the checks every other module shares:
 ``SchemaError``, the ``MAX_SETS``/``MAX_FOLDS`` caps, ``_require_int`` and ``IntTable``.
 """
 
@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, pairwise, repeat, starmap
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -288,14 +288,18 @@ class IntervalUnion:
         thickened = _Thickenings(_rescaled(other, scale))
         return IntervalUnion._from_pairs(scale, _int_sum(_rescaled(self, scale), thickened))
 
+    def _ladder(self, H: int) -> Iterator[IntPairs]:
+        """The rungs 1A, ..., HA as integer pairs over A's scale, one ``_int_sum`` each."""
+        _require_int(H, "fold count", lo=1)
+        return accumulate(repeat(_Thickenings(self._pairs), H - 1), _int_sum, initial=self._pairs)
+
     def folds(self, H: int) -> list["IntervalUnion"]:
         """The folds [1A, 2A, ..., HA] of this union A (H >= 1).
 
-        Each fold is one sum, hA = (h-1)A + A, so the whole ladder costs
-        H - 1 calls of ``__add__``; ``hfold`` is its last entry.
+        Each is a rung of the integer ladder ``fold_measures`` climbs, made
+        a union without any ``__add__``; ``hfold(H)`` is the last entry.
         """
-        _require_int(H, "fold count", lo=1)
-        return list(accumulate(repeat(self, H), operator.add))
+        return [IntervalUnion._from_pairs(self._scale, pairs) for pairs in self._ladder(H)]
 
     def fold_measures(self, H: int) -> list[Fraction]:
         """The measures of the folds 1A, ..., HA, without building the folds.
@@ -309,16 +313,13 @@ class IntervalUnion:
         The ladder is lazy: each rung is measured before the next is made,
         so only the rung below and the rung being made are alive at once.
         """
-        _require_int(H, "fold count", lo=1)
-        thickened = _Thickenings(self._pairs)
-        ladder = accumulate(repeat(thickened, H - 1), _int_sum, initial=self._pairs)
-        return [Fraction(_total_length(pairs), self._scale) for pairs in ladder]
+        return [Fraction(_total_length(pairs), self._scale) for pairs in self._ladder(H)]
 
     def hfold(self, h: int) -> "IntervalUnion":
         """h-fold Minkowski sum of the union with itself (h >= 1).
 
-        The last rung of ``folds(h)``, climbed with the same h - 1 calls of
-        ``__add__``, keeping only the rung below.
+        The last rung of ``folds(h)``, climbed as h - 1 sums with ``+``
+        (``__add__``), keeping only the rung below.
         """
         _require_int(h, "fold count", lo=1)
         return reduce(operator.add, repeat(self, h))
@@ -332,6 +333,8 @@ class IntervalUnion:
         are merged again). Both operands are sorted, so one pass over the
         parts walks the gaps forward once.
         """
+        if not isinstance(other, IntervalUnion):
+            raise TypeError(f"subtrahend must be an IntervalUnion, got {type(other).__name__}")
         scale = math.lcm(self._scale, other._scale)
         gaps = _rescaled(other, scale)
         pieces = []
@@ -465,6 +468,8 @@ def grid_measure_oracle(union: IntervalUnion, step: Rational) -> tuple[Fraction,
     2*step per part, which makes this an independent cross-check on
     ``measure`` rather than a reimplementation of it.
     """
+    if not isinstance(union, IntervalUnion):
+        raise TypeError(f"grid oracle needs an IntervalUnion, got {type(union).__name__}")
     g = as_fraction(step)
     if g <= 0:
         raise ValueError(f"grid step must be positive, got {g}")

@@ -12,6 +12,7 @@ from sumset_races import (
     Interval,
     IntervalUnion,
     StepMatrix,
+    grid_measure_oracle,
     search_race_sets,
     serialization,
 )
@@ -68,6 +69,10 @@ PARAMS = {"eps": F(1, 4), "delta": F(1, 32), "c": F(129, 32), "H": 2, "n": 2}
     [
         (lambda: Interval(1, 0), ValueError, "endpoints out of order: 1 > 0"),
         (lambda: Interval(0.5, 1), TypeError, "exact rational required, got float"),
+        (lambda: IntervalUnion([(0, 1)]).subtract([(0, 1)]), TypeError,
+         "subtrahend must be an IntervalUnion, got list"),
+        (lambda: grid_measure_oracle([(0, 1)], F(1, 2)), TypeError,
+         "grid oracle needs an IntervalUnion, got list"),
         (lambda: ConstructionParams(**{**PARAMS, "eps": F(1, 2)}), ValueError,
          "eps must lie strictly between 0 and 1/3, got 1/2"),
         (lambda: ConstructionParams(**{**PARAMS, "delta": F(1, 2)}), ValueError,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -163,21 +164,27 @@ class TestHfold:
         assert IntervalUnion().folds(3) == [IntervalUnion()] * 3
         assert IntervalUnion().fold_measures(3) == [0, 0, 0]
 
-    def test_folds_make_one_sum_per_rung(self, monkeypatch):
-        # the benchmark's tracer counts fold work on IntervalUnion.__add__
-        calls = []
-        add = IntervalUnion.__add__
-
-        def counted(a, b):
-            calls.append(1)
-            return add(a, b)
-
-        monkeypatch.setattr(IntervalUnion, "__add__", counted)
+    def test_hfold_adds_per_rung_and_folds_share_one_integer_ladder(self, monkeypatch):
+        # the benchmark's tracer counts hfold's fold work on IntervalUnion.__add__
         x = U((0, F(3, 4)), (2, F(11, 4)))
+        expected = [x, x + x, x.hfold(3), x.hfold(4)]
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(IntervalUnion, "__add__", counted("add", IntervalUnion.__add__))
         assert x.hfold(3) == U((0, F(33, 4)))
-        assert len(calls) == 2
-        x.folds(4)
-        assert len(calls) == 5
+        assert calls == {"add": 2}
+        calls.clear()
+        monkeypatch.setattr(intervals, "_Thickenings", counted("thickenings", intervals._Thickenings))
+        monkeypatch.setattr(intervals, "_int_sum", counted("int_sum", intervals._int_sum))
+        assert x.folds(4) == expected
+        assert calls == {"thickenings": 1, "int_sum": 3}  # and no __add__
 
 
 class TestDilateTranslate:
@@ -361,9 +368,12 @@ def assert_exact_parts(union):
     assert_canonical(union)
 
 
-@settings(max_examples=50)
-@given(gappy_unions(max_parts=12), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gappy_unions(max_parts=12), tied_unions(max_parts=40)), st.integers(1, 4))
+# part lengths 1 and 2 both leave all four gaps (widths 3 and 9) open: one group, k = 5
+@example(U((0, 1), (4, 6), (9, 10), (19, 21), (24, 25)), 4)
 def test_prop_folds_match_hfold_and_iterated_pairwise_sums(u, H):
+    # folds climbs the integer ladder and hfold adds with +: two routes to each rung
     ladder = u.folds(H)
     assert ladder == [u.hfold(h) for h in range(1, H + 1)]
     reference = [u]
