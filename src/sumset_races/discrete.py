@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable, Optional, Sequence
 
 from .intervals import IntTable, SchemaError, _require_int
@@ -13,9 +13,9 @@ IntSet = tuple[int, ...]
 MAX_RACE_CANDIDATES = 1_000_000
 """Largest candidate space one race search may enumerate into its profile table.
 
-The profile table folds each candidate once, from its parent, with one
-shift-OR per fold, so its time grows with candidates times folds while it
-holds only the distinct profiles; the search then holds, per fold, one
+The profile table folds each candidate at most once, from its parent, with
+one shift-OR per fold, so its time grows with candidates times folds while
+it holds only the distinct profiles; the search then holds, per fold, one
 bitmask over the profiles for each value their sizes take. The
 depth-first search over the n sets that follows is not bounded by this
 limit: at ground 16, maxsize 7 (14,893 candidates, 206 profiles over 3
@@ -105,8 +105,8 @@ class RankTable(IntTable):
 def check_race_bounds(ground: int, maxsize: int) -> None:
     """Validate a race search's bounds and refuse a space too large to enumerate.
 
-    The search enumerates sum_{k < maxsize} C(ground, k) candidates (0 plus
-    k elements of {1, ..., ground}). That count is summed before any
+    The search enumerates at most sum_{k < maxsize} C(ground, k) candidates
+    (0 plus k elements of {1, ..., ground}). That count is summed before any
     candidate exists and the sum stops once it passes
     ``MAX_RACE_CANDIDATES``, so huge bounds are refused at once. Raises
     ``TypeError`` for a non-int and ``SchemaError`` for any bound it refuses.
@@ -130,9 +130,17 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
     Candidates are 0 plus fewer than ``maxsize`` elements of {1, ..., ground},
     taken by size, then lexicographically, and the table lists profiles in
     the order of their first candidates. Sizes past ground + 1 hold no set.
+    A set of size s has h(s-1) + 1 <= |hB| <= C(s+h-1, h), which bounds how
+    many profiles each size can hold; the walk stops once the table holds
+    that many, since no later candidate can add or change an entry.
     """
     top = min(maxsize, ground + 1)
     firsts: dict[tuple[int, ...], IntSet] = {(1,) * horizon: (0,)}
+    # the number of profiles those bounds allow for sizes 1..top
+    capacity = sum(
+        prod(comb(s + h - 1, h) - h * (s - 1) for h in range(2, horizon + 1))
+        for s in range(1, top + 1)
+    )
 
     # Depth first over the sets, each extended only by elements above its
     # maximum, reaches the sets of one size in lexicographic order. Each fold
@@ -140,7 +148,9 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
     # with one shift-OR per fold: h(B + {x}) = hB | ((h-1)(B + {x}) + x).
     # Nothing reads a leaf's folds, so a leaf keeps only each fold's
     # popcount as it goes, and its set is built only for a new profile.
-    def grow(base: IntSet, folds: list[int]) -> None:
+    # Each call returns whether the table is full, checked after each leaf
+    # loop; a full table cannot change, so every caller returns at once.
+    def grow(base: IntSet, folds: list[int]) -> bool:
         size = len(base) + 1
         if size == top:
             start = base[-1] + 1
@@ -157,7 +167,7 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
                 key = tuple(counts)
                 if key not in firsts:
                     firsts[key] = base + (x,)
-            return
+            return len(firsts) == capacity
         for x in range(base[-1] + 1, ground + 1):
             child, prev = [], 1
             for fold in folds:
@@ -165,7 +175,9 @@ def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, .
                 child.append(prev)
             cand = base + (x,)
             firsts.setdefault(tuple(map(int.bit_count, child)), cand)
-            grow(cand, child)
+            if grow(cand, child):
+                return True
+        return False
 
     if top > 1:
         grow((0,), [1] * horizon)
@@ -224,7 +236,13 @@ def search_race_sets(
     skipped unfolded: the mirror has the same profile and came first. The
     other leaves are scored without being built: each fold's popcount is
     taken as the fold is made, no fold is kept, and the set's tuple is
-    made only when its profile is new.
+    made only when its profile is new. The sumset-size bounds
+    h(|B|-1) + 1 <= |hB| <= C(|B|+h-1, h) cap how many profiles each size
+    can have, and once the table holds that many the walk stops: every
+    profile that can occur is recorded, with its first candidate. It stops
+    early for every one-fold target and, with two folds, whenever a Sidon
+    set (all pairwise sums distinct) of the largest size fits in
+    [0, ground].
 
     The depth-first search numbers profiles in table order. For each fold
     h and value v it holds the bitmask of the profiles with |hB| <= v; the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -232,6 +233,9 @@ def reference_profile_table(ground, maxsize, horizon):
 @example(3, 9, 4)  # maxsize past ground + 1
 @example(12, 5, 1)  # one fold
 @example(9, 6, 30)  # many folds at the leaves
+@example(11, 5, 2)  # fills at the length-11 Golomb ruler (0, 1, 4, 9, 11)
+@example(10, 5, 2)  # one profile short of full: no 5-element Sidon set fits in [0, 10]
+@example(6, 4, 2)  # fills
 def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
     # same profiles, same first candidates, in the same order
     table = _profile_table(ground, maxsize, horizon)
@@ -244,6 +248,30 @@ def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
 @pytest.mark.parametrize("shape", [(12, 5, 2), (12, 5, 4), (14, 6, 2), (14, 6, 3), (16, 6, 2)])
 def test_profile_table_matches_reference_on_benchmark_shapes(shape):
     assert list(_profile_table(*shape).items()) == list(reference_profile_table(*shape).items())
+
+
+def grow_calls(shape):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "grow":
+            calls += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _profile_table(*shape)
+    finally:
+        sys.setprofile(outer)
+    return calls
+
+
+def test_profile_table_walk_stops_once_every_allowed_profile_is_found():
+    # (12, 5, 2) holds every profile the sumset-size bounds allow after 18 of
+    # the 299 calls of its full walk; (10, 5, 2) never fills, so it walks all
+    assert grow_calls((12, 5, 2)) < 299 // 10
+    assert grow_calls((10, 5, 2)) == 176
 
 
 def test_profile_table_memory_stays_small():
