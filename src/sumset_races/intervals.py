@@ -15,12 +15,18 @@ Floats are refused.
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of A, of
 B thickened by L and shifted by lo; thickening by L fills exactly the gaps
 of B no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. ``_Thickenings`` lists B's gaps widest first,
-so every thickening is a prefix of two fixed lists. The integer kernel has
-one call shape, ``_int_sum(a, thickened)``: B always arrives as its
-``_Thickenings``, and an empty operand on either side yields no pieces.
-It groups A's parts by how many gaps their length leaves open and adds
-each group's shifts to that prefix with C-level ``map``.
+one piece per pair of parts. ``_widest_first`` lists a union's gaps
+widest first, so every thickening of it is a prefix of two fixed lists;
+``_Thickenings`` holds B's. The integer kernel has one call shape,
+``_int_sum(a, thickened)``: B always arrives as its ``_Thickenings``, and
+an empty operand on either side yields no pieces. It groups A's parts, in
+position order, by the number k of pieces their thickenings of B have.
+A group of at most k parts adds each part's shift to that prefix with
+C-level ``map``. All parts of a larger group G leave the same k - 1 gaps
+of B open, so G + B is the union of G + [c, d] over B's k coarse parts
+[c, d] (B with only those gaps open), and G + [c, d] is G thickened by
+d - c and shifted by c: a prefix of G's own gap lists. So a group's
+pieces follow its output rather than |G| * k.
 ``_merged``, the one merge routine, then sorts the starts and the ends
 separately and cuts wherever an end falls below the next start.
 
@@ -411,12 +417,27 @@ class _Thickenings:
     __slots__ = ("neg_widths", "starts", "ends")
 
     def __init__(self, parts: IntPairs) -> None:
-        # Gap i lies between parts i and i + 1. Keyed on minus its width,
-        # the gaps sort widest first and the keys ascend, ready for bisect.
-        by_width = sorted(range(len(parts) - 1), key=lambda i: parts[i][1] - parts[i + 1][0])
-        self.neg_widths = [parts[i][1] - parts[i + 1][0] for i in by_width]
-        self.starts = [*(lo for lo, _ in parts[:1]), *(parts[i + 1][0] for i in by_width)]
-        self.ends = [*(hi for _, hi in parts[-1:]), *(parts[i][1] for i in by_width)]
+        self.neg_widths, self.starts, self.ends = _widest_first(parts)
+
+
+def _widest_first(parts: IntPairs) -> tuple[list[int], list[int], list[int]]:
+    """``_Thickenings``' three lists for sorted, disjoint integer pairs, gaps widest first.
+
+    Gap i lies between parts i and i + 1. Keyed on minus its width, the
+    gaps sort widest first and the keys ascend, ready for bisect. The
+    starts are the first part's start and then each gap's right end, the
+    ends the last part's end and then each gap's left end, in that order.
+    ``_int_sum`` also lists the gaps of a group of a's parts with it.
+    """
+    los = [lo for lo, _ in parts]
+    his = [hi for _, hi in parts]
+    neg = list(map(operator.sub, his, los[1:]))
+    by_width = sorted(range(len(neg)), key=neg.__getitem__)
+    return (
+        list(map(neg.__getitem__, by_width)),
+        [*los[:1], *map(los[1:].__getitem__, by_width)],
+        [*his[-1:], *map(his.__getitem__, by_width)],
+    )
 
 
 def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:
@@ -427,35 +448,43 @@ def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:
     ``[lo, hi] + b`` is b thickened by L = hi - lo and shifted by lo: its
     k pieces start at lo plus the first k of ``thickened.starts`` and end
     at hi plus the first k of its ``ends`` (none when b is empty), where
-    k - 1 gaps of b are wider than L.
-    One bisection per distinct part length finds k; the parts with equal k
-    form one group, whose los and his are added to the k starts and ends
-    with C-level ``map``, looping over whichever of the group and the k is
-    shorter. So the work follows the output rather than the p*q part pairs.
+    k - 1 gaps of b are wider than L. One bisection per distinct part
+    length finds k, and the parts with equal k form one group, kept in
+    position order.
+
+    A group of at most k parts adds each part's lo and hi to the k starts
+    and ends with C-level ``map``. A larger group G leaves the same k - 1
+    gaps of b open for every part, so G + b is the union of G + [c, d]
+    over b's k coarse parts [c, d], b with only those gaps open (the k
+    starts and the k ends, each sorted). G + [c, d] is G thickened by
+    d - c and shifted by c: with G's gaps listed widest first by
+    ``_widest_first``, its pieces are the first 1 + (number of G's gaps
+    wider than d - c) starts plus c and ends plus d. So the pieces follow
+    the output rather than the p*q part pairs, or |G| * k for a group.
     ``_merged`` sorts and merges the pieces, touching ones included.
     """
     neg_widths, piece_starts, piece_ends = thickened.neg_widths, thickened.starts, thickened.ends
-    los_by_length: dict[int, list[int]] = {}
-    for lo, hi in a:
-        los_by_length.setdefault(hi - lo, []).append(lo)
-    groups: dict[int, tuple[list[int], list[int]]] = {}  # k pieces per part -> those parts' (los, his)
-    for L, los in los_by_length.items():
-        group_los, group_his = groups.setdefault(bisect_left(neg_widths, -L) + 1, ([], []))
-        group_los += los
-        group_his += map(operator.add, los, repeat(L))
+    groups: dict[int, list[Sequence[int]]] = {}  # k pieces per part -> those parts, in position order
+    k_of: dict[int, int] = {}  # part length -> k, one bisection per distinct length
+    for part in a:
+        L = part[1] - part[0]
+        k = k_of.get(L)
+        if k is None:
+            k = k_of[L] = bisect_left(neg_widths, -L) + 1
+        groups.setdefault(k, []).append(part)
     starts: list[int] = []
     ends: list[int] = []
-    for k, (los, his) in groups.items():
-        if len(los) <= k:
-            for lo in los:
+    for k, group in groups.items():
+        if len(group) <= k:
+            for lo, hi in group:
                 starts += map(operator.add, repeat(lo, k), piece_starts)
-            for hi in his:
                 ends += map(operator.add, repeat(hi, k), piece_ends)
         else:
-            for start in piece_starts[:k]:
-                starts += map(operator.add, los, repeat(start))
-            for end in piece_ends[:k]:
-                ends += map(operator.add, his, repeat(end))
+            group_neg_widths, group_starts, group_ends = _widest_first(group)
+            for c, d in zip(sorted(piece_starts[:k]), sorted(piece_ends[:k])):
+                j = bisect_left(group_neg_widths, c - d) + 1
+                starts += map(operator.add, group_starts[:j], repeat(c))
+                ends += map(operator.add, group_ends[:j], repeat(d))
     return _merged(starts, ends)
 
 

@@ -563,6 +563,15 @@ TWO_BRACKETS = (
 # an empty operand on either side: no pieces, and the sum is empty
 @example(U((0, 1), (3, 4)), IntervalUnion())
 @example(IntervalUnion(), U((0, 1), (3, 4)))
+# four parts, k = 2: the group's gaps of 2 equal the width of b's coarse part
+# [0, 2], so its copies touch and merge, and stay open in the coarse part [10, 11]
+@example(U((0, 1), (3, 4), (6, 7), (9, 10)), U((0, 1), (2, 2), (10, 11)))
+# the point 20 of b lies between gaps of 17 and 20: a coarse part of width 0
+# keeps every gap of the five-part group open, those of width 3 close them
+@example(U((0, 1), (3, 4), (6, 7), (9, 10), (12, 13)), U((0, 3), (20, 20), (40, 43)))
+# lengths 1 and 2 alternate in position and both leave b's two gaps open (k = 3):
+# one group, whose gaps of 1 close and gaps of 3 stay open in each coarse part
+@example(U((0, 1), (2, 4), (7, 8), (9, 11), (14, 15), (16, 18)), U((0, 1), (4, 5), (20, 21)))
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     reference = pairwise_sum(a, b)
     assert a + b == reference
@@ -575,8 +584,34 @@ def test_prop_grouped_sum_matches_pairwise_reference(a, b):
         assert IntervalUnion._from_pairs(scale, _int_sum(a_pairs, shared)) == reference
 
 
+def test_a_group_larger_than_k_is_summed_once_per_coarse_part(monkeypatch):
+    # 30 parts of length 2 leave b's two gaps of 100 open (k = 3); their gaps of 1
+    # close in each of b's coarse parts [0, 5], [105, 108] and [208, 209], so the
+    # group makes one piece per coarse part rather than one per part and piece
+    pieces = []
+    merged = intervals._merged
+
+    def counted(starts, ends):
+        pieces.append(len(starts))
+        return merged(starts, ends)
+
+    monkeypatch.setattr(intervals, "_merged", counted)
+    a = [(3 * i, 3 * i + 2) for i in range(30)]
+    b = [(0, 1), (2, 3), (4, 5), (105, 106), (107, 108), (208, 209)]
+    assert _int_sum(a, _Thickenings(b)) == [(0, 94), (105, 197), (208, 298)]
+    assert pieces == [3]
+
+
+# the first set of build_sets(DiffMatrix([[-3, -3, -2, 1]]), 1): on every rung
+# of its ladder the parts at its teeth form a group larger than their k
+TEETH = U(
+    (0, 1), (1027, 1219), (1347, 1355), (1358, 1363), (1366, 1371), (1374, 1379), (1382, 1411), (1539, 1731)
+)
+
+
 @settings(max_examples=20, deadline=None)
 @given(tied_unions(max_parts=40), st.integers(2, 6))
+@example(TEETH, 4)
 @example(U((0, 1), (2, 3), (5, 5)), 4)  # the part lengths 1 and 0 against gaps of widths 1 and 2
 @example(TWO_BRACKETS[0], 3)
 @example(U((0, F(1, 3))), 3)
