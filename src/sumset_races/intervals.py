@@ -13,21 +13,11 @@ Fractions, and ``parts``, ``bounds`` and the measures return Fractions.
 Floats are refused.
 
 A Minkowski sum A + B is the union, over the parts [lo, lo + L] of A, of
-B thickened by L and shifted by lo; thickening by L fills exactly the gaps
-of B no wider than L, so the sum costs what its output costs rather than
-one piece per pair of parts. ``_widest_first`` lists a union's gaps
-widest first, so every thickening of it is a prefix of two fixed lists;
-``_Thickenings`` holds B's. The integer kernel has one call shape,
-``_int_sum(a, thickened)``: B always arrives as its ``_Thickenings``, and
-an empty operand on either side yields no pieces. It groups A's parts, in
-position order, by the number k of pieces their thickenings of B have.
-A group of at most k parts adds each part's shift to that prefix with
-C-level ``map``. All parts of a larger group G leave the same k - 1 gaps
-of B open, so G + B is the union of G + [c, d] over B's k coarse parts
-[c, d] (B with only those gaps open), and G + [c, d] is G thickened by
-d - c and shifted by c: a prefix of G's own gap lists. So a group's
-pieces follow its output rather than |G| * k.
-``_merged``, the one merge routine, then sorts the starts and the ends
+B thickened by L and shifted by lo. ``_Thickenings`` holds every
+thickening of a union as prefixes of two lists, and ``_int_sum``, the
+one integer kernel, turns A's parts into shifts of such prefixes, so the
+sum costs what its output costs rather than one piece per pair of parts.
+``_merged``, the one merge routine, sorts the starts and the ends
 separately and cuts wherever an end falls below the next start.
 
 Every fold routine climbs the ladder hA = (h-1)A + A with the standard
@@ -404,10 +394,12 @@ class _Thickenings:
     exactly the gaps of width at most L, so the thickened parts start at
     the first part's start and at the right end of every gap wider than L,
     and end L past the last part and past the left end of every such gap.
-    With the gaps sorted by decreasing width, ``starts`` is the first
-    part's start and then each gap's right end, and ``ends`` the last
-    part's end and then each gap's left end: the thickening by L is their
-    first ``bisect_left(neg_widths, -L) + 1`` entries, L added to the ends.
+    Gap i lies between parts i and i + 1; keyed on minus its width, the
+    gaps sort widest first and the keys, ``neg_widths``, ascend, ready for
+    bisect. ``starts`` is the first part's start and then each gap's right
+    end, and ``ends`` the last part's end and then each gap's left end, in
+    that order: the thickening by L is their first
+    ``bisect_left(neg_widths, -L) + 1`` entries, L added to the ends.
     They follow width order, not position; ``_merged`` sorts starts and
     ends apart, so only their multisets matter. The empty union has no
     first or last part and no gaps, so all three lists are empty and
@@ -417,27 +409,13 @@ class _Thickenings:
     __slots__ = ("neg_widths", "starts", "ends")
 
     def __init__(self, parts: IntPairs) -> None:
-        self.neg_widths, self.starts, self.ends = _widest_first(parts)
-
-
-def _widest_first(parts: IntPairs) -> tuple[list[int], list[int], list[int]]:
-    """``_Thickenings``' three lists for sorted, disjoint integer pairs, gaps widest first.
-
-    Gap i lies between parts i and i + 1. Keyed on minus its width, the
-    gaps sort widest first and the keys ascend, ready for bisect. The
-    starts are the first part's start and then each gap's right end, the
-    ends the last part's end and then each gap's left end, in that order.
-    ``_int_sum`` also lists the gaps of a group of a's parts with it.
-    """
-    los = [lo for lo, _ in parts]
-    his = [hi for _, hi in parts]
-    neg = list(map(operator.sub, his, los[1:]))
-    by_width = sorted(range(len(neg)), key=neg.__getitem__)
-    return (
-        list(map(neg.__getitem__, by_width)),
-        [*los[:1], *map(los[1:].__getitem__, by_width)],
-        [*his[-1:], *map(his.__getitem__, by_width)],
-    )
+        los = [lo for lo, _ in parts]
+        his = [hi for _, hi in parts]
+        neg = list(map(operator.sub, his, los[1:]))
+        by_width = sorted(range(len(neg)), key=neg.__getitem__)
+        self.neg_widths = list(map(neg.__getitem__, by_width))
+        self.starts = [*los[:1], *map(los[1:].__getitem__, by_width)]
+        self.ends = [*his[-1:], *map(his.__getitem__, by_width)]
 
 
 def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:
@@ -452,39 +430,42 @@ def _int_sum(a: IntPairs, thickened: _Thickenings) -> list[tuple[int, int]]:
     length finds k, and the parts with equal k form one group, kept in
     position order.
 
-    A group of at most k parts adds each part's lo and hi to the k starts
-    and ends with C-level ``map``. A larger group G leaves the same k - 1
-    gaps of b open for every part, so G + b is the union of G + [c, d]
-    over b's k coarse parts [c, d], b with only those gaps open (the k
-    starts and the k ends, each sorted). G + [c, d] is G thickened by
-    d - c and shifted by c: with G's gaps listed widest first by
-    ``_widest_first``, its pieces are the first 1 + (number of G's gaps
-    wider than d - c) starts plus c and ends plus d. So the pieces follow
-    the output rather than the p*q part pairs, or |G| * k for a group.
-    ``_merged`` sorts and merges the pieces, touching ones included.
+    Each group becomes shifts ``(source, lo, hi, j)``: pieces starting
+    at lo plus the first j of ``source.starts`` and ending at hi plus the
+    first j of ``source.ends``. A group of at most k parts gives
+    ``(thickened, lo, hi, k)`` per part. A larger group G leaves the same
+    k - 1 gaps of b open for every part, so G + b is the union of
+    G + [c, d] over b's k coarse parts [c, d], b with only those gaps
+    open (the k starts and the k ends, each sorted). G + [c, d] is G
+    thickened by d - c and shifted by c, so with ``own = _Thickenings(G)``
+    it gives ``(own, c, d, j)``, j - 1 being the number of G's gaps wider
+    than d - c. One loop makes every shift's pieces, ``repeat(lo, j)``
+    bounding each C-level ``map``, so no prefix is sliced. A rung's pieces
+    thus number the sum of j over its shifts, known before any is made,
+    and follow the output rather than the p*q part pairs, or |G| * k for
+    a group. ``_merged`` sorts and merges them, touching ones included.
     """
-    neg_widths, piece_starts, piece_ends = thickened.neg_widths, thickened.starts, thickened.ends
     groups: dict[int, list[Sequence[int]]] = {}  # k pieces per part -> those parts, in position order
     k_of: dict[int, int] = {}  # part length -> k, one bisection per distinct length
     for part in a:
         L = part[1] - part[0]
         k = k_of.get(L)
         if k is None:
-            k = k_of[L] = bisect_left(neg_widths, -L) + 1
+            k = k_of[L] = bisect_left(thickened.neg_widths, -L) + 1
         groups.setdefault(k, []).append(part)
-    starts: list[int] = []
-    ends: list[int] = []
+    shifts: list[tuple[_Thickenings, int, int, int]] = []
     for k, group in groups.items():
         if len(group) <= k:
-            for lo, hi in group:
-                starts += map(operator.add, repeat(lo, k), piece_starts)
-                ends += map(operator.add, repeat(hi, k), piece_ends)
+            shifts += [(thickened, lo, hi, k) for lo, hi in group]
         else:
-            group_neg_widths, group_starts, group_ends = _widest_first(group)
-            for c, d in zip(sorted(piece_starts[:k]), sorted(piece_ends[:k])):
-                j = bisect_left(group_neg_widths, c - d) + 1
-                starts += map(operator.add, group_starts[:j], repeat(c))
-                ends += map(operator.add, group_ends[:j], repeat(d))
+            own = _Thickenings(group)
+            coarse = zip(sorted(thickened.starts[:k]), sorted(thickened.ends[:k]))
+            shifts += [(own, c, d, bisect_left(own.neg_widths, c - d) + 1) for c, d in coarse]
+    starts: list[int] = []
+    ends: list[int] = []
+    for source, lo, hi, j in shifts:
+        starts += map(operator.add, repeat(lo, j), source.starts)
+        ends += map(operator.add, repeat(hi, j), source.ends)
     return _merged(starts, ends)
 
 

@@ -181,10 +181,28 @@ class TestHfold:
         assert x.hfold(3) == U((0, F(33, 4)))
         assert calls == {"add": 2}
         calls.clear()
-        monkeypatch.setattr(intervals, "_Thickenings", counted("thickenings", intervals._Thickenings))
-        monkeypatch.setattr(intervals, "_int_sum", counted("int_sum", intervals._int_sum))
+        built = []  # (parts, the _Thickenings made of them)
+        received = []  # the _Thickenings each _int_sum call is given
+        thickenings, int_sum = intervals._Thickenings, intervals._int_sum
+
+        def build(parts):
+            built.append((tuple(parts), thickenings(parts)))
+            return built[-1][1]
+
+        def summed(a, thickened):
+            received.append(thickened)
+            return int_sum(a, thickened)
+
+        monkeypatch.setattr(intervals, "_Thickenings", build)
+        monkeypatch.setattr(intervals, "_int_sum", summed)
         assert x.folds(4) == expected
-        assert calls == {"thickenings": 1, "int_sum": 3}  # and no __add__
+        assert not calls  # no __add__
+        # rung 2 is one group larger than its k and builds its own _Thickenings,
+        # but every rung is summed with the one _Thickenings of x
+        assert len(received) == 3
+        assert all(thickened is received[0] for thickened in received)
+        ladder = [made for parts, made in built if parts == x.pairs]
+        assert len(ladder) == 1 and ladder[0] is received[0]
 
 
 class TestDilateTranslate:
@@ -572,6 +590,13 @@ TWO_BRACKETS = (
 # lengths 1 and 2 alternate in position and both leave b's two gaps open (k = 3):
 # one group, whose gaps of 1 close and gaps of 3 stay open in each coarse part
 @example(U((0, 1), (2, 4), (7, 8), (9, 11), (14, 15), (16, 18)), U((0, 1), (4, 5), (20, 21)))
+# length-1 parts leave both gaps of b open (k = 3): a group of exactly k parts
+# takes one shift per part, a group of k + 1 one shift per coarse part of b
+@example(U((0, 1), (3, 4), (6, 7)), U((0, 1), (3, 4), (10, 11)))
+@example(U((0, 1), (3, 4), (6, 7), (9, 10)), U((0, 1), (3, 4), (10, 11)))
+# b a single point, the shape translate takes: every part of a forms one group
+# (k = 1), whose one coarse part has width 0 and keeps all its gaps open
+@example(U((0, 1), (3, 3), (5, F(13, 2))), U((F(5, 2), F(5, 2))))
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     reference = pairwise_sum(a, b)
     assert a + b == reference
