@@ -243,11 +243,6 @@ class CarvedBlock(NamedTuple):
         holes = pairwise(self.kept.pairs)
         return tuple(Interval(Fraction(lo, s), Fraction(hi, s)) for (_, lo), (hi, _) in holes)
 
-    @property
-    def anchors(self) -> tuple[Fraction, ...]:
-        """u_0 = 1 + eps, the block's left end, then the anchor of each gap."""
-        return (self.kept.bounds()[0], *(gap.lo for gap in self.gaps))
-
 
 def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
     """Carve ``counts[r-1]`` open gaps of width r*delta out of the base block.

@@ -45,7 +45,17 @@ def as_int_set(elements: Iterable[int]) -> IntSet:
 
 
 def hfold_ints(base: Iterable[int], h: int) -> IntSet:
-    """All sums of h elements of ``base``, repetition allowed."""
+    """All sums of h elements of ``base``, repetition allowed.
+
+    Each call folds from scratch over Python sets: step i adds every
+    element of ``base`` to every sum of (i-1)B, so the cost follows the
+    sumsets, the sum of |iB| * |B| over i = 0..h-1, and not the span of
+    ``base``. That is why it stays a set fold: a shift-OR fold on one int
+    is far faster on dense bases but holds h * (max B - min B) bits, so
+    on a spread base (the kind that reaches the bound C(|B|+h-1, h)) it
+    is slower by orders of magnitude and can need gigabytes.
+    ``verify_tau_race`` calls it once per fold.
+    """
     b = as_int_set(base)
     if not b:
         raise ValueError("sumset base must be nonempty")

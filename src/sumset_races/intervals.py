@@ -156,10 +156,6 @@ class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
             raise ValueError(f"endpoints out of order: {lo} > {hi}")
         return super().__new__(cls, lo, hi)
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -254,10 +250,6 @@ class IntervalUnion:
         target = value.numerator * self._scale
         idx = bisect_right(self._pairs, target, key=lambda p: p[0] * den)
         return idx > 0 and target <= self._pairs[idx - 1][1] * den
-
-    def translate(self, offset: Rational) -> "IntervalUnion":
-        """Shift every part by the same amount: the sum with the point ``offset``."""
-        return self + IntervalUnion([(offset, offset)])
 
     def dilate(self, scale: Rational) -> "IntervalUnion":
         """Scale about the origin; measure scales by |scale| exactly.

@@ -88,12 +88,11 @@ def verify_tau_race(
     if len(sets) != len(base_sets):
         raise ValueError(f"got {len(sets)} interval sets for {len(base_sets)} base sets")
     horizon = len(goal)
-    normalized = [as_int_set(b) for b in base_sets]
     fold_measures = [s.fold_measures(horizon) for s in sets]
     checks = []
     for h, target in enumerate(goal, start=1):
         measures = tuple(m[h - 1] for m in fold_measures)
-        cards = tuple(len(hfold_ints(b, h)) for b in normalized)
+        cards = tuple(len(hfold_ints(b, h)) for b in base_sets)
         checks.append(
             TauRaceCheck(
                 h=h,

@@ -194,31 +194,33 @@ class TestFillerSet:
 class TestCarve:
     def test_single_narrow_gap(self):
         block = carve([1, 0], exact_params())
-        assert block.anchors == (F(5, 4), F(11, 8))
+        assert (block.kept.bounds()[0], *(g.lo for g in block.gaps)) == (F(5, 4), F(11, 8))
         assert block.gaps == (Interval(F(11, 8), F(45, 32)),)
         assert block.kept == IntervalUnion([(F(5, 4), F(11, 8)), (F(45, 32), F(3, 2))])
         assert block.kept.measure() == F(7, 32)
 
     def test_single_wide_gap(self):
         block = carve([0, 1], exact_params())
-        assert block.gaps[0].length == 2 * exact_params().delta
+        gap = block.gaps[0]
+        assert gap.hi - gap.lo == 2 * exact_params().delta
         assert block.kept.measure() == F(3, 16)
 
     def test_anchors_stay_in_kept(self):
         block = carve([2, 1], choose_params(2, 2, 3))
-        for anchor in block.anchors:
+        # u_0 = 1 + eps, the block's left end, then the anchor of each gap
+        for anchor in (block.kept.bounds()[0], *(g.lo for g in block.gaps)):
             assert anchor in block.kept
 
     def test_kept_and_gaps_partition_the_block(self):
         params = choose_params(3, 2, 6)
         block = carve([2, 1, 3], params)
-        gap_total = sum((g.length for g in block.gaps), F(0))
+        gap_total = sum((g.hi - g.lo for g in block.gaps), F(0))
         assert block.kept.measure() + gap_total == 1 - 3 * params.eps
 
     def test_gap_widths_follow_classes(self):
         params = choose_params(3, 2, 4)
         block = carve([2, 0, 2], params)
-        widths = [g.length for g in block.gaps]
+        widths = [g.hi - g.lo for g in block.gaps]
         assert widths == [params.delta, params.delta, 3 * params.delta, 3 * params.delta]
 
     def test_rejections(self):
@@ -289,7 +291,7 @@ class TestAssemble:
         x = filler_set(params.eps)
         y = carve([1, 0], params).kept
         assembled = assemble_set(x, y, params)
-        shifted = IntervalUnion([*x.parts, *y.parts]).translate(F(129, 32))
+        shifted = IntervalUnion([*x.parts, *y.parts]) + IntervalUnion([(F(129, 32), F(129, 32))])
         assert assembled == IntervalUnion([(0, F(1, 32)), *shifted.parts])
         assert len(assembled.parts) == 5
 

@@ -306,3 +306,14 @@ def test_prop_sumset_size_bounds(base, h):
     assert h * (len(base) - 1) + 1 <= size <= comb(len(base) + h - 1, h)
     if h > 1:
         assert size >= len(hfold_ints(base, h - 1))
+
+
+def test_sumset_size_bounds_are_met():
+    # a progression of 10 meets the lower bound h(s - 1) + 1; 0 and the powers 9^0..9^8
+    # meet the upper bound C(s + h - 1, h), 24,310 at h = 8, for below h = 9 every sum
+    # is a distinct base-9 numeral. The spread base spans 9^8 = 43,046,721, far wider
+    # than the sums it makes: the case an integer fold whose cost follows the span slows.
+    spread = (0, *(9**i for i in range(9)))
+    for h in range(1, 9):
+        assert len(hfold_ints(range(10), h)) == 9 * h + 1
+        assert len(hfold_ints(spread, h)) == comb(h + 9, h)

@@ -218,15 +218,16 @@ class TestDilateTranslate:
         for scale in (0, -2, F(3, 2)):
             assert IntervalUnion().dilate(scale) == IntervalUnion()
 
+    # a shift is the sum with a point
     def test_translate(self):
-        assert U((0, 1)).translate(F(5, 2)) == U((F(5, 2), F(7, 2)))
+        assert U((0, 1)) + U((F(5, 2), F(5, 2))) == U((F(5, 2), F(7, 2)))
 
     def test_translate_empty(self):
-        assert IntervalUnion().translate(3).is_empty
+        assert (IntervalUnion() + U((3, 3))).is_empty
 
     def test_translate_refuses_a_float(self):
         with pytest.raises(TypeError, match="exact rational required, got float"):
-            U((0, 1)).translate(0.5)
+            U((0, 1)) + U((0.5, 0.5))
 
 
 class TestSubtract:
@@ -332,7 +333,7 @@ def test_prop_measure_additive_for_separated_unions(a, b):
     # push b strictly to the right of a so the two cannot interact
     if not a.is_empty and not b.is_empty:
         shift = a.bounds()[1] - b.bounds()[0] + 1
-        b = b.translate(shift)
+        b = b + U((shift, shift))
     combined = IntervalUnion([*a.parts, *b.parts])
     assert combined.measure() == a.measure() + b.measure()
 
@@ -344,9 +345,9 @@ def test_prop_dilation_scales_measure(u, scale):
 
 @given(interval_unions(), rationals(-6, 6, 16))
 def test_prop_translation_preserves_measure_and_inverts(u, offset):
-    moved = u.translate(offset)
+    moved = u + U((offset, offset))
     assert moved.measure() == u.measure()
-    assert moved.translate(-offset) == u
+    assert moved + U((-offset, -offset)) == u
 
 
 @given(interval_unions(max_parts=4), interval_unions(max_parts=4))
@@ -358,7 +359,7 @@ any_unions = st.one_of(interval_unions(max_parts=6), gappy_unions())
 
 
 @given(any_unions, any_unions)
-# translate is the sum with a point, so single-point operands are pinned here
+# a shift is the sum with a point, so single-point operands are pinned here
 @example(U((0, 1), (3, 5)), U((2, 2)))
 @example(U((0, F(1, 3)), (F(5, 2), 4)), U((F(7, 6), F(7, 6))))
 @example(U((F(-1, 2), 0), (1, 1)), U((-3, -3)))
@@ -411,9 +412,9 @@ scales = st.one_of(
 
 @given(st.one_of(interval_unions(), gappy_unions()), scales)
 def test_prop_translate_and_dilate_match_merged_fraction_maps(u, t):
-    # translate and dilate map the integer endpoints straight through; the
-    # reference maps every Fraction part and merges through the constructor
-    moved = u.translate(t)
+    # a shift (the sum with a point) and dilate map the integer endpoints straight
+    # through; the reference maps every Fraction part and merges through the constructor
+    moved = u + U((t, t))
     assert moved == IntervalUnion(Interval(p.lo + t, p.hi + t) for p in u.parts)
     assert_exact_parts(moved)
     scaled = u.dilate(t)
@@ -505,7 +506,7 @@ def test_prop_subtract_matches_reference(a, b):
 
 @given(any_unions, scales)
 def test_prop_translate_dilate_measure_match_reference(u, t):
-    assert u.translate(t).parts == reference_translate(u.parts, t)
+    assert (u + U((t, t))).parts == reference_translate(u.parts, t)
     assert u.dilate(t).parts == reference_dilate(u.parts, t)
     assert u.measure() == reference_measure(u.parts)
 
@@ -594,7 +595,7 @@ TWO_BRACKETS = (
 # takes one shift per part, a group of k + 1 one shift per coarse part of b
 @example(U((0, 1), (3, 4), (6, 7)), U((0, 1), (3, 4), (10, 11)))
 @example(U((0, 1), (3, 4), (6, 7), (9, 10)), U((0, 1), (3, 4), (10, 11)))
-# b a single point, the shape translate takes: every part of a forms one group
+# b a single point, the shape a shift takes: every part of a forms one group
 # (k = 1), whose one coarse part has width 0 and keeps all its gaps open
 @example(U((0, 1), (3, 3), (5, F(13, 2))), U((F(5, 2), F(5, 2))))
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):

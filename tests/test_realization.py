@@ -11,8 +11,10 @@ from sumset_races import (
     dense_rank,
     hfold_ints,
     realize,
+    search_race_sets,
     verify_tau_race,
 )
+from sumset_races.intervals import MAX_FOLDS
 from sumset_races.serialization import race_output_obj
 
 int_sets = st.sets(st.integers(0, 12), min_size=1, max_size=5)
@@ -64,7 +66,7 @@ class TestRealize:
                 card = len(hfold_ints(base, h))
                 assert len(folded.parts) == card
                 assert folded.measure() == card * h * width
-                assert all(p.length == h * width for p in folded.parts)
+                assert all(p.hi - p.lo == h * width for p in folded.parts)
 
 
 LEAD_FLIP = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
@@ -111,6 +113,38 @@ class TestVerifyTauRace:
         obj = race_output_obj(bases, width, sets, report)
         assert obj["all_pass"] is False
         assert [row["pass"] for row in obj["report"]] == [False, False]
+
+    def test_race_at_the_fold_cap_matches_closed_forms(self):
+        # {0}, {0, 1}, ..., {0, ..., 5}: at every fold the set of s elements has
+        # h(s - 1) + 1 sums, so one strict ranking holds at all MAX_FOLDS folds
+        targets = [list(range(1, 7))] * MAX_FOLDS
+        witness = search_race_sets(targets, 8, 6)
+        assert witness == tuple(tuple(range(s)) for s in range(1, 7))
+        sets, width = realize(witness, MAX_FOLDS)
+        assert width == F(1, MAX_FOLDS + 1)
+        report = verify_tau_race(sets, witness, targets)
+        assert report.all_ok
+        assert [c.h for c in report.checks] == list(range(1, MAX_FOLDS + 1))
+        for check in report.checks:
+            h = check.h
+            cards = tuple(h * (s - 1) + 1 for s in range(1, 7))
+            assert check.cardinalities == cards
+            assert check.measures == tuple(F(card * h, MAX_FOLDS + 1) for card in cards)
+
+    @pytest.mark.parametrize(
+        "base, error, message",
+        [
+            ((), ValueError, "sumset base must be nonempty"),
+            ((0, F(1, 2)), TypeError, r"set element must be an integer, got Fraction\(1, 2\)"),
+            ((0, True), TypeError, "set element must be an integer, got True"),
+        ],
+        ids=["empty", "fraction-element", "bool-element"],
+    )
+    def test_rejects_a_bad_base(self, base, error, message):
+        # hfold_ints normalizes each base, so a bad one is refused as by the integer fold
+        sets, _ = realize([(0, 1), (0, 2)], 2)
+        with pytest.raises(error, match=message):
+            verify_tau_race(sets, [(0, 1), base], [[1, 2], [1, 2]])
 
     def test_rejects_length_mismatch(self):
         sets, _ = realize([(0, 1), (0, 2)], 2)
