@@ -31,7 +31,6 @@ from .construction import (
     filler_set,
     lift_steps,
     solve_steps,
-    thickened_measure,
     verify_differences,
 )
 from .discrete import (
@@ -81,7 +80,6 @@ __all__ = [
     "choose_params",
     "filler_set",
     "carve",
-    "thickened_measure",
     "assemble_set",
     "build_sets",
     "BuildResult",

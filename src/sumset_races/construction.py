@@ -47,7 +47,6 @@ __all__ = [
     "choose_params",
     "filler_set",
     "carve",
-    "thickened_measure",
     "assemble_set",
     "build_sets",
     "BuildResult",
@@ -227,14 +226,13 @@ class CarvedBlock(NamedTuple):
     """The block [1+eps, 2-2eps] with calibrated open gaps removed.
 
     Gap j opens at anchor u_j = 1 + eps + 2*H*j*delta and has width
-    r*delta, where r is its width class: the first counts[0] gaps are
-    class 1, the next counts[1] class 2, and so on. Gaps are open on
-    both sides, so every anchor stays in ``kept``; they have positive
-    width and lie strictly inside the block, so ``gaps``, the holes
+    r*delta, where r is its width class: ``carve(counts, ...)`` makes the
+    first counts[0] gaps class 1, the next counts[1] class 2, and so on.
+    Gaps are open on both sides, so every anchor stays in ``kept``; they have
+    positive width and lie strictly inside the block, so ``gaps``, the holes
     between consecutive parts of ``kept``, are the gaps one to one.
     """
 
-    counts: tuple[int, ...]
     kept: IntervalUnion
 
     @property
@@ -275,29 +273,7 @@ def carve(counts: Sequence[int], params: ConstructionParams) -> CarvedBlock:
             gaps.append((anchor, anchor + r * unit))
     starts = [block_lo] + [hi for _, hi in gaps]
     ends = [lo for lo, _ in gaps] + [block_top]
-    return CarvedBlock(counts=clean, kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))))
-
-
-def thickened_measure(block: CarvedBlock, h: int, params: ConstructionParams) -> Fraction:
-    """Exact measure of [0, (h-1)*delta] + kept, checked against its closed form.
-
-    Thickening refills each gap of width class r < h completely and all
-    but (r-h+1)*delta of each class-r gap with r >= h. The direct
-    interval computation and the closed form must agree to the last bit;
-    a mismatch raises, because every downstream guarantee leans on it.
-    """
-    if not 1 <= _require_int(h, "fold") <= params.H:
-        raise ValueError(f"fold must lie in 1..{params.H}, got {h!r}")
-    delta, eps = params.delta, params.eps
-    smear = IntervalUnion([(0, (h - 1) * delta)])
-    direct = (smear + block.kept).measure()
-    residue = sum((r - h + 1) * cnt for r, cnt in enumerate(block.counts, start=1) if r >= h)
-    closed = (h - 1) * delta + 1 - 3 * eps - delta * residue
-    if direct != closed:
-        raise InternalCheckError(
-            f"thickened measure mismatch at fold {h}: direct {direct}, closed form {closed}"
-        )
-    return direct
+    return CarvedBlock(kept=IntervalUnion._from_pairs(grid, list(zip(starts, ends))))
 
 
 def assemble_set(

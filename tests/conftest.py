@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import strategies as st
 
@@ -190,6 +190,11 @@ def reference_grid_oracle(parts, step) -> tuple[Fraction, Fraction]:
 def pairwise_sum(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """Reference Minkowski sum: every pair of parts, merged by the constructor."""
     return IntervalUnion(Interval(p.lo + q.lo, p.hi + q.hi) for p in a.parts for q in b.parts)
+
+
+def reference_hfold_ints(base, h: int) -> tuple[int, ...]:
+    """Reference h-fold sumset: the sum of every multiset of h elements of ``base``."""
+    return tuple(sorted({sum(c) for c in combinations_with_replacement(set(base), h)}))
 
 
 def reference_search_race_sets(targets, ground: int, maxsize: int):

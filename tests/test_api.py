@@ -47,7 +47,6 @@ def test_public_names_are_pinned():
         "choose_params",
         "filler_set",
         "carve",
-        "thickened_measure",
         "assemble_set",
         "build_sets",
         "BuildResult",

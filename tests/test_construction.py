@@ -24,7 +24,6 @@ from sumset_races import (
     filler_set,
     lift_steps,
     solve_steps,
-    thickened_measure,
     verify_differences,
 )
 from sumset_races import construction
@@ -33,6 +32,16 @@ from sumset_races.construction import MAX_BUILD_GAPS, BuildBudgetError
 
 def exact_params(H=2, max_gaps=1):
     return choose_params(H, 2, max_gaps)
+
+
+def thickened(block, h, params):
+    """Measure of [0, (h-1)*delta] + kept, computed on intervals."""
+    return (IntervalUnion([(0, (h - 1) * params.delta)]) + block.kept).measure()
+
+
+def residue(counts, h):
+    """The lemma's surviving gap width in units of delta: sum over r >= h of (r-h+1)c_r."""
+    return sum((r - h + 1) * c for r, c in enumerate(counts, start=1) if r >= h)
 
 
 class TestSolveSteps:
@@ -244,26 +253,18 @@ class TestThickenedMeasure:
     def test_fold_one_is_plain_measure(self):
         params = exact_params()
         block = carve([1, 0], params)
-        assert thickened_measure(block, 1, params) == F(7, 32)
+        assert thickened(block, 1, params) == F(7, 32)
 
     def test_fold_two_refills_narrow_gaps(self):
         params = exact_params()
         block = carve([1, 0], params)
-        assert thickened_measure(block, 2, params) == F(9, 32)
+        assert thickened(block, 2, params) == F(9, 32)
 
     def test_wide_gap_resists_thickening(self):
         params = exact_params()
         block = carve([0, 1], params)
-        assert thickened_measure(block, 1, params) == F(3, 16)
-        assert thickened_measure(block, 2, params) == F(1, 4)
-
-    def test_rejects_fold_outside_horizon(self):
-        params = exact_params()
-        block = carve([1, 0], params)
-        with pytest.raises(ValueError):
-            thickened_measure(block, 0, params)
-        with pytest.raises(ValueError):
-            thickened_measure(block, 3, params)
+        assert thickened(block, 1, params) == F(3, 16)
+        assert thickened(block, 2, params) == F(1, 4)
 
     def test_closed_form_matches_direct_on_random_rows(self):
         rng = random.Random(411)
@@ -275,14 +276,12 @@ class TestThickenedMeasure:
             params = choose_params(H, 2, sum(counts))
             block = carve(counts, params)
             for h in range(1, H + 1):
-                direct = (
-                    IntervalUnion([(0, (h - 1) * params.delta)]) + block.kept
-                ).measure()
-                residue = sum(
-                    (r - h + 1) * c for r, c in enumerate(counts, start=1) if r >= h
+                direct = thickened(block, h, params)
+                closed = (
+                    (h - 1) * params.delta + 1 - 3 * params.eps
+                    - params.delta * residue(counts, h)
                 )
-                closed = (h - 1) * params.delta + 1 - 3 * params.eps - params.delta * residue
-                assert thickened_measure(block, h, params) == direct == closed
+                assert direct == closed
 
 
 class TestAssemble:
@@ -334,9 +333,7 @@ class TestDifferenceReduction:
             sets = [assemble_set(x, b.kept, params) for b in blocks]
             for h in range(1, H + 1):
                 fold_gap = sets[0].hfold(h).measure() - sets[1].hfold(h).measure()
-                thick_gap = thickened_measure(blocks[0], h, params) - thickened_measure(
-                    blocks[1], h, params
-                )
+                thick_gap = params.delta * (residue(rows[1], h) - residue(rows[0], h))
                 assert fold_gap == thick_gap
 
 

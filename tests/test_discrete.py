@@ -17,7 +17,7 @@ from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
 from sumset_races.discrete import MAX_RACE_CANDIDATES, _profile_table, check_race_bounds
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 
-from conftest import reference_search_race_sets
+from conftest import reference_hfold_ints, reference_search_race_sets
 
 
 class TestHfoldInts:
@@ -44,6 +44,14 @@ class TestHfoldInts:
     def test_rejects_bad_fold(self):
         with pytest.raises(ValueError):
             hfold_ints((0, 1), 0)
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(1, 5))
+    @example([-3, 2, -3, 7, 2], 3)  # duplicates with negatives
+    @example([5, -1, 0], 1)
+    @example([-7], 4)  # a singleton
+    @example([0, 1, 10**6], 5)  # a spread base: all C(7, 5) = 21 sums distinct
+    def test_prop_matches_multiset_reference(self, base, h):
+        assert hfold_ints(base, h) == reference_hfold_ints(base, h)
 
 
 class TestDenseRank:

@@ -131,6 +131,21 @@ class TestVerifyTauRace:
             assert check.cardinalities == cards
             assert check.measures == tuple(F(card * h, MAX_FOLDS + 1) for card in cards)
 
+    def test_spread_race_at_the_fold_cap_matches_closed_forms(self):
+        # (0, 1, 2) has 2h + 1 sums; (0, 1, 10**5) reaches the bound C(h + 2, 2)
+        # at every fold, since i + j * 10**5 with i + j <= h are distinct for
+        # h < 10**5; they tie at h = 1 and the spread base leads from h = 2 on
+        bases = [(0, 1, 2), (0, 1, 10**5)]
+        targets = [(1, 1)] + [(1, 2)] * (MAX_FOLDS - 1)
+        sets, _ = realize(bases, MAX_FOLDS)
+        report = verify_tau_race(sets, bases, targets)
+        assert report.all_ok
+        for check in report.checks:
+            h = check.h
+            cards = (2 * h + 1, (h + 2) * (h + 1) // 2)
+            assert check.cardinalities == cards
+            assert check.measures == tuple(F(card * h, MAX_FOLDS + 1) for card in cards)
+
     @pytest.mark.parametrize(
         "base, error, message",
         [
