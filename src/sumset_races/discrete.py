@@ -135,23 +135,46 @@ def check_race_bounds(ground: int, maxsize: int) -> None:
             )
 
 
+# _GOLOMB_LENGTHS[s] is the optimal Golomb-ruler length for s marks (OEIS
+# A003022): the least span of s integers whose pairwise differences are distinct.
+_GOLOMB_LENGTHS = (0, 0, 1, 3, 6, 11, 17, 25)
+
+
+def _profile_capacity(ground: int, maxsize: int, horizon: int) -> int:
+    """The most profiles ``_profile_table(ground, maxsize, horizon)`` can hold.
+
+    A set of size s has h(s-1) + 1 <= |hB| <= C(s+h-1, h). At h = 2 only a
+    Sidon set (all pairwise sums distinct) reaches C(s+1, 2); its s(s-1)/2
+    positive differences are distinct and at most max B, so it spans at
+    least the optimal Golomb-ruler length for s marks, or s(s-1)/2 past the
+    lengths held here. Where ground is shorter, that top value is dropped.
+    """
+    total = 0
+    for s in range(1, min(maxsize, ground + 1) + 1):
+        widths = [comb(s + h - 1, h) - h * (s - 1) for h in range(2, horizon + 1)]
+        span = _GOLOMB_LENGTHS[s] if s < len(_GOLOMB_LENGTHS) else comb(s, 2)
+        if widths and ground < span:
+            widths[0] -= 1
+        total += prod(widths)
+    return total
+
+
 def _profile_table(ground: int, maxsize: int, horizon: int) -> dict[tuple[int, ...], IntSet]:
     """Each distinct size profile (|1B|, ..., |horizon B|) mapped to its first candidate.
 
     Candidates are 0 plus fewer than ``maxsize`` elements of {1, ..., ground},
     taken by size, then lexicographically, and the table lists profiles in
     the order of their first candidates. Sizes past ground + 1 hold no set.
-    A set of size s has h(s-1) + 1 <= |hB| <= C(s+h-1, h), which bounds how
-    many profiles each size can hold; the walk stops once the table holds
-    that many, since no later candidate can add or change an entry.
+    The walk stops once the table holds ``_profile_capacity`` profiles, the
+    most the sumset-size bounds allow with the Sidon value |2B| = C(s+1, 2)
+    dropped where no Sidon set of size s fits in [0, ground] (the optimal
+    Golomb-ruler lengths), since no later candidate can add or change an
+    entry. With that refinement (10, 5, 2), (14, 6, 2) and (16, 6, 2) stop
+    early, though no Sidon set of their largest size fits.
     """
     top = min(maxsize, ground + 1)
     firsts: dict[tuple[int, ...], IntSet] = {(1,) * horizon: (0,)}
-    # the number of profiles those bounds allow for sizes 1..top
-    capacity = sum(
-        prod(comb(s + h - 1, h) - h * (s - 1) for h in range(2, horizon + 1))
-        for s in range(1, top + 1)
-    )
+    capacity = _profile_capacity(ground, maxsize, horizon)
 
     # Depth first over the sets, each extended only by elements above its
     # maximum, reaches the sets of one size in lexicographic order. Each fold
@@ -249,11 +272,16 @@ def search_race_sets(
     taken as the fold is made, no fold is kept, and the set's tuple is
     made only when its profile is new. The sumset-size bounds
     h(|B|-1) + 1 <= |hB| <= C(|B|+h-1, h) cap how many profiles each size
-    can have, and once the table holds that many the walk stops: every
-    profile that can occur is recorded, with its first candidate. It stops
-    early for every one-fold target and, with two folds, whenever a Sidon
-    set (all pairwise sums distinct) of the largest size fits in
-    [0, ground].
+    can have, less the value |2B| = C(|B|+1, 2) of a Sidon set (all
+    pairwise sums distinct) where none of that size fits in [0, ground],
+    which the optimal Golomb-ruler lengths decide. Once the table holds
+    that many the walk stops: every profile that can occur is recorded,
+    with its first candidate. It stops early for every one-fold target, and
+    with two folds wherever the table fills: (12, 5, 2) holds the Sidon
+    profile of its largest size, and (10, 5, 2), (14, 6, 2) and (16, 6, 2)
+    fill without it. The three-fold shapes tried (ground up to 14, sets of
+    three to six elements) and two-fold ones such as (12, 6, 2) still walk
+    every candidate.
 
     The depth-first search numbers profiles in table order. For each fold
     h and value v it holds the bitmask of the profiles with |hB| <= v; the

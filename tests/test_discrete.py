@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_races import dense_rank, hfold_ints, is_rank_tuple, search_race_sets
-from sumset_races.discrete import MAX_RACE_CANDIDATES, _profile_table, check_race_bounds
+from sumset_races.discrete import (
+    _GOLOMB_LENGTHS,
+    MAX_RACE_CANDIDATES,
+    _profile_capacity,
+    _profile_table,
+    check_race_bounds,
+)
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 
 from conftest import reference_hfold_ints, reference_search_race_sets
@@ -242,7 +248,7 @@ def reference_profile_table(ground, maxsize, horizon):
 @example(12, 5, 1)  # one fold
 @example(9, 6, 30)  # many folds at the leaves
 @example(11, 5, 2)  # fills at the length-11 Golomb ruler (0, 1, 4, 9, 11)
-@example(10, 5, 2)  # one profile short of full: no 5-element Sidon set fits in [0, 10]
+@example(10, 5, 2)  # fills without the Sidon profile: no 5-element Sidon set fits in [0, 10]
 @example(6, 4, 2)  # fills
 def test_prop_profile_table_matches_reference(ground, maxsize, horizon):
     # same profiles, same first candidates, in the same order
@@ -277,9 +283,77 @@ def grow_calls(shape):
 
 def test_profile_table_walk_stops_once_every_allowed_profile_is_found():
     # (12, 5, 2) holds every profile the sumset-size bounds allow after 18 of
-    # the 299 calls of its full walk; (10, 5, 2) never fills, so it walks all
+    # the 299 calls of its full walk. (10, 5, 2), (14, 6, 2) and (16, 6, 2) are
+    # too short for a Sidon set of their largest size, so they fill without its
+    # profile, within a tenth of their full walks of 176, 1471 and 2517 calls.
+    # (12, 6, 2) never fills, so it walks all.
     assert grow_calls((12, 5, 2)) < 299 // 10
-    assert grow_calls((10, 5, 2)) == 176
+    assert grow_calls((10, 5, 2)) < 176 // 10
+    assert grow_calls((14, 6, 2)) < 1471 // 10
+    assert grow_calls((16, 6, 2)) < 2517 // 10
+    assert grow_calls((12, 6, 2)) == 794
+
+
+def is_sidon(base):
+    return len(hfold_ints(base, 2)) == comb(len(base) + 1, 2)
+
+
+def sidon_sets(size, span):
+    # every s-set in [0, span] that contains 0 and has distinct pairwise
+    # differences, depth first, rejecting an element that repeats a difference
+    def extend(marks, differences):
+        if len(marks) == size:
+            yield marks
+            return
+        for x in range(marks[-1] + 1, span + 1):
+            new = {x - m for m in marks}
+            if len(new) == len(marks) and not new & differences:
+                yield from extend(marks + (x,), differences | new)
+
+    return extend((0,), set()) if span >= 0 else iter(())
+
+
+# an optimal Golomb ruler for each number of marks from 1
+GOLOMB_RULERS = [
+    None,
+    (0,),
+    (0, 1),
+    (0, 1, 3),
+    (0, 1, 4, 6),
+    (0, 1, 4, 9, 11),
+    (0, 1, 4, 10, 12, 17),
+    (0, 1, 4, 10, 18, 23, 25),
+]
+
+
+@pytest.mark.parametrize("size", range(1, len(_GOLOMB_LENGTHS)))
+def test_golomb_lengths_are_the_shortest_sidon_spans(size):
+    ruler = GOLOMB_RULERS[size]
+    assert len(ruler) == size and ruler[-1] == _GOLOMB_LENGTHS[size]
+    assert is_sidon(ruler)
+    assert next(sidon_sets(size, _GOLOMB_LENGTHS[size]), None) is not None
+    assert next(sidon_sets(size, _GOLOMB_LENGTHS[size] - 1), None) is None
+
+
+def test_sidon_search_finds_exactly_the_sidon_sets():
+    # the Golomb test's "no shorter Sidon set" half holds only if this DFS
+    # misses none: check it against the pairwise-sum definition, 4-sets in [0, 9]
+    expected = {(0,) + rest for rest in combinations(range(1, 10), 3) if is_sidon((0,) + rest)}
+    assert set(sidon_sets(4, 9)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 6), st.integers(1, 5))
+@example(16, 8, 2)  # past the Golomb lengths held, s(s - 1)/2 = 28 bounds the span
+def test_prop_profile_table_stays_within_its_capacity(ground, maxsize, horizon):
+    assert len(_profile_table(ground, maxsize, horizon)) <= _profile_capacity(
+        ground, maxsize, horizon
+    )
+
+
+@pytest.mark.parametrize("shape", [(10, 5, 2), (12, 5, 2), (14, 6, 2), (16, 6, 2)])
+def test_two_fold_tables_fill_their_capacity(shape):
+    assert len(_profile_table(*shape)) == _profile_capacity(*shape)
 
 
 def test_profile_table_memory_stays_small():
