@@ -243,14 +243,6 @@ class IntervalUnion:
             return None
         return Fraction(self._pairs[0][0], self._scale), Fraction(self._pairs[-1][1], self._scale)
 
-    def __contains__(self, x: Rational) -> bool:
-        # x = num/den lies in [lo, hi] / scale exactly when lo*den <= num*scale <= hi*den
-        value = as_fraction(x)
-        den = value.denominator
-        target = value.numerator * self._scale
-        idx = bisect_right(self._pairs, target, key=lambda p: p[0] * den)
-        return idx > 0 and target <= self._pairs[idx - 1][1] * den
-
     def dilate(self, scale: Rational) -> "IntervalUnion":
         """Scale about the origin; measure scales by |scale| exactly.
 
@@ -318,28 +310,21 @@ class IntervalUnion:
         The subtrahend is treated as a union of open intervals, so the
         result is again a closed union; single-point parts of ``other``
         remove nothing (the two pieces one splits a part into touch, and
-        are merged again). Both operands are sorted, so one pass over the
-        parts walks the gaps forward once.
+        are merged again). The sorted gaps whose interiors meet a part [lo, hi]
+        are one slice, found by two bisections; the part's pieces run from lo
+        and their right ends to their left ends and hi, empty ones dropped.
         """
         if not isinstance(other, IntervalUnion):
             raise TypeError(f"subtrahend must be an IntervalUnion, got {type(other).__name__}")
         scale = math.lcm(self._scale, other._scale)
         gaps = _rescaled(other, scale)
+        gap_los = [lo for lo, _ in gaps]
+        gap_his = [hi for _, hi in gaps]
         pieces = []
-        first = 0  # the first gap that can still meet a part
         for lo, hi in _rescaled(self, scale):
-            while first < len(gaps) and gaps[first][1] <= lo:
-                first += 1
-            cursor = lo
-            j = first
-            while j < len(gaps) and gaps[j][0] < hi:
-                gap_lo, gap_hi = gaps[j]
-                if gap_lo >= cursor:
-                    pieces.append((cursor, gap_lo))
-                cursor = gap_hi
-                j += 1
-            if cursor <= hi:
-                pieces.append((cursor, hi))
+            meet = slice(bisect_right(gap_his, lo), bisect_left(gap_los, hi))
+            ends = zip([lo, *gap_his[meet]], [*gap_los[meet], hi])
+            pieces += [(start, end) for start, end in ends if start <= end]
         return IntervalUnion._from_pairs(scale, pieces)
 
     def __repr__(self) -> str:

