@@ -67,11 +67,12 @@ MAX_BUILD_GAPS = 100_000
 It bounds the carving stage, about 0.8 KB per gap while the sets are built
 (tracemalloc, on a 2,500-gap build), not verification, whose fold ladders
 grow with parts x H: two sets with H = 64 and rows alternating +350/-350
-(88,200 gaps) build in 0.2 s but verify in about 3.5 s, and ``build``
-peaks at about 81 MB RSS (2 vCPU). The limit is about 300 times the heaviest
-benchmark instance (340 gaps) and about 9 times the most that targets with
-n <= 4, H <= 10 and |m| <= 50 can need (10,800, for rows alternating +50
-and -50).
+(88,200 gaps) make ``build`` take about 3.1 s of CPU at 82 MB peak RSS,
+and ``verify`` of its output about 3.3 s at 68 MB (2 vCPU, medians of 5
+child-process runs each). The limit is about 300 times the heaviest
+benchmark instance (340 gaps) and about 9 times the most that targets
+with n <= 4, H <= 10 and |m| <= 50 can need (10,800, for rows
+alternating +50 and -50).
 """
 
 

@@ -54,8 +54,6 @@ def hfold_ints(base: Iterable[int], h: int) -> IntSet:
     is far faster on dense bases but holds h * (max B - min B) bits, so
     on a spread base (the kind that reaches the bound C(|B|+h-1, h)) it
     is slower by orders of magnitude and can need gigabytes.
-    ``verify_tau_race`` calls it once per fold and so refolds; a ladder of
-    1B, ..., HB by this same step would cost only the last call's sum.
     """
     b = as_int_set(base)
     if not b:

@@ -12,6 +12,7 @@ sizes: whatever order race the integers run, the interval sets run too.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 from .discrete import RankTable, as_int_set, dense_rank, hfold_ints
@@ -80,7 +81,10 @@ def verify_tau_race(
     one rank per set), so the horizon is ``len(targets)``. The measures
     come from the generic interval fold and the sizes from the integer
     fold; the two routes share no code, so agreement is a real
-    cross-check and not an echo.
+    cross-check and not an echo. Each base is folded once, as a ladder:
+    1B is ``hfold_ints(b, 1)``, which refuses a bad base before any
+    interval fold runs, and each rung hB is (h-1)B + B by the same set
+    step ``hfold_ints`` takes, kept lazily one rung per base.
     """
     goal = RankTable(targets).rows  # at least one row, so a report always has folds
     if len(goal[0]) != len(sets):
@@ -88,11 +92,15 @@ def verify_tau_race(
     if len(sets) != len(base_sets):
         raise ValueError(f"got {len(sets)} interval sets for {len(base_sets)} base sets")
     horizon = len(goal)
+    firsts = [hfold_ints(b, 1) for b in base_sets]
     fold_measures = [s.fold_measures(horizon) for s in sets]
+    ladders = [
+        accumulate(repeat(b, horizon - 1), lambda sums, b: {s + x for s in sums for x in b}, initial=b)
+        for b in firsts
+    ]
     checks = []
-    for h, target in enumerate(goal, start=1):
-        measures = tuple(m[h - 1] for m in fold_measures)
-        cards = tuple(len(hfold_ints(b, h)) for b in base_sets)
+    for h, (target, measures, rungs) in enumerate(zip(goal, zip(*fold_measures), zip(*ladders)), 1):
+        cards = tuple(map(len, rungs))
         checks.append(
             TauRaceCheck(
                 h=h,

@@ -81,8 +81,8 @@ elements each. ``load_sets_file`` counts the pairs before any union is
 built. On 2 vCPU, a 26.9 MB sets file of 1,000,000 parts ran ``oracle``
 to exit 0 in 3.9 s at 861 MB peak RSS without the cap, and is refused
 with exit 2 in 1.0 s at 289 MB: reading and parsing the file is what
-remains. The hostile build's output (88,208 parts) verifies in 2.5 s at
-68 MB.
+remains. The hostile build's output (88,208 parts) verifies in about
+3.3 s of CPU at 68 MB (``MAX_BUILD_GAPS`` has the hostile figures).
 """
 
 _NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS

@@ -1,21 +1,25 @@
 """Carrying integer race witnesses into interval sets."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sumset_races import (
     IntervalUnion,
     dense_rank,
     hfold_ints,
+    realization,
     realize,
     search_race_sets,
     verify_tau_race,
 )
 from sumset_races.intervals import MAX_FOLDS
 from sumset_races.serialization import race_output_obj
+
+from conftest import reference_hfold_ints
 
 int_sets = st.sets(st.integers(0, 12), min_size=1, max_size=5)
 
@@ -70,6 +74,12 @@ class TestRealize:
 
 
 LEAD_FLIP = [(0, 1, 5, 12), (0, 1, 2, 3, 4)]
+BAD_BASES = [
+    ((), ValueError, "sumset base must be nonempty"),
+    ((0, F(1, 2)), TypeError, r"set element must be an integer, got Fraction\(1, 2\)"),
+    ((0, True), TypeError, "set element must be an integer, got True"),
+]
+BAD_BASE_IDS = ["empty", "fraction-element", "bool-element"]
 
 
 class TestVerifyTauRace:
@@ -146,18 +156,34 @@ class TestVerifyTauRace:
             assert check.cardinalities == cards
             assert check.measures == tuple(F(card * h, MAX_FOLDS + 1) for card in cards)
 
-    @pytest.mark.parametrize(
-        "base, error, message",
-        [
-            ((), ValueError, "sumset base must be nonempty"),
-            ((0, F(1, 2)), TypeError, r"set element must be an integer, got Fraction\(1, 2\)"),
-            ((0, True), TypeError, "set element must be an integer, got True"),
-        ],
-        ids=["empty", "fraction-element", "bool-element"],
-    )
+    def test_folds_each_base_with_one_hfold_ints_call(self, monkeypatch):
+        # the rungs 2B, ..., HB climb from 1B; no fold refolds a base from scratch
+        bases = [(0, 1, 2), (0, 1, 10**5)]
+        sets, _ = realize(bases, MAX_FOLDS)
+        calls = Counter()
+
+        def counted(base, h):
+            calls[tuple(base), h] += 1
+            return hfold_ints(base, h)
+
+        monkeypatch.setattr(realization, "hfold_ints", counted)
+        assert verify_tau_race(sets, bases, [(1, 1)] + [(1, 2)] * (MAX_FOLDS - 1)).all_ok
+        assert calls == {(base, 1): 1 for base in bases}
+
+    @pytest.mark.parametrize("base, error, message", BAD_BASES, ids=BAD_BASE_IDS)
     def test_rejects_a_bad_base(self, base, error, message):
         # hfold_ints normalizes each base, so a bad one is refused as by the integer fold
         sets, _ = realize([(0, 1), (0, 2)], 2)
+        with pytest.raises(error, match=message):
+            verify_tau_race(sets, [(0, 1), base], [[1, 2], [1, 2]])
+
+    @pytest.mark.parametrize("base, error, message", BAD_BASES, ids=BAD_BASE_IDS)
+    def test_refuses_a_bad_base_before_any_interval_fold(self, monkeypatch, base, error, message):
+        def fold_measures(self, H):
+            raise AssertionError("an interval fold ran before the bases were checked")
+
+        sets, _ = realize([(0, 1), (0, 2)], 2)
+        monkeypatch.setattr(IntervalUnion, "fold_measures", fold_measures)
         with pytest.raises(error, match=message):
             verify_tau_race(sets, [(0, 1), base], [[1, 2], [1, 2]])
 
@@ -180,8 +206,15 @@ class TestVerifyTauRace:
         with pytest.raises(ValueError):
             verify_tau_race(sets, [(0, 1), (0, 2)], targets)
 
-    @given(st.lists(int_sets, min_size=2, max_size=4), st.integers(1, 4))
+    @given(
+        st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=5), min_size=2, max_size=4),
+        st.integers(1, 8),
+    )
+    @example([[7], [0, 3]], 1)
+    @example([[0, 1, 2], [0, 1, 10**5]], 8)
+    @example([[-50, -3, -3, 7, -50], [0, 50, 50, -1]], 6)
     def test_prop_realization_always_passes_its_own_race(self, bases, horizon):
+        # the ladder's sizes are checked against the sum of every multiset of h elements
         sets, _ = realize(bases, horizon)
         targets = [
             dense_rank([len(hfold_ints(b, h)) for b in bases]) for h in range(1, horizon + 1)
@@ -189,4 +222,7 @@ class TestVerifyTauRace:
         report = verify_tau_race(sets, bases, targets)
         assert report.all_ok
         for check in report.checks:
+            assert check.cardinalities == tuple(
+                len(reference_hfold_ints(b, check.h)) for b in bases
+            )
             assert check.measure_ranks == dense_rank(check.measures)
