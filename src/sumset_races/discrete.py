@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from math import comb, prod
 from typing import Iterable, Optional, Sequence
 
@@ -44,25 +46,29 @@ def as_int_set(elements: Iterable[int]) -> IntSet:
     return tuple(sorted({_require_int(e, "set element") for e in elements}))
 
 
+def _set_step(sums: Iterable[int], base: IntSet) -> set[int]:
+    """One rung of the integer fold: every element of ``base`` added to every sum."""
+    return {s + x for s in sums for x in base}
+
+
 def hfold_ints(base: Iterable[int], h: int) -> IntSet:
     """All sums of h elements of ``base``, repetition allowed.
 
-    Each call folds from scratch over Python sets: step i adds every
-    element of ``base`` to every sum of (i-1)B, so the cost follows the
-    sumsets, the sum of |iB| * |B| over i = 0..h-1, and not the span of
-    ``base``. That is why it stays a set fold: a shift-OR fold on one int
-    is far faster on dense bases but holds h * (max B - min B) bits, so
-    on a spread base (the kind that reaches the bound C(|B|+h-1, h)) it
-    is slower by orders of magnitude and can need gigabytes.
+    Each call folds from scratch over Python sets: from 1B, the normalized
+    base, it climbs h - 1 rungs of ``_set_step`` (``functools.reduce``), the
+    step ``verify_tau_race``'s ladder climbs too. Rung i adds every element
+    of ``base`` to every sum of (i-1)B, so the cost follows the sumsets, the
+    sum of |iB| * |B| over i = 1..h-1, and not the span of ``base``. That
+    is why it stays a set fold: a shift-OR fold on one int is far faster on
+    dense bases but holds h * (max B - min B) bits, so on a spread base
+    (the kind that reaches the bound C(|B|+h-1, h)) it is slower by orders
+    of magnitude and can need gigabytes.
     """
     b = as_int_set(base)
     if not b:
         raise ValueError("sumset base must be nonempty")
     _require_int(h, "fold count", lo=1)
-    sums = {0}
-    for _ in range(h):
-        sums = {s + x for s in sums for x in b}
-    return tuple(sorted(sums))
+    return tuple(sorted(reduce(_set_step, repeat(b, h - 1), b)))
 
 
 def dense_rank(values: Sequence[int | Fraction]) -> tuple[int, ...]:

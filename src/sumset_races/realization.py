@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
-from .discrete import RankTable, as_int_set, dense_rank, hfold_ints
+from .discrete import RankTable, _set_step, as_int_set, dense_rank, hfold_ints
 from .intervals import IntervalUnion, _require_int
 
 __all__ = [
@@ -83,8 +83,9 @@ def verify_tau_race(
     fold; the two routes share no code, so agreement is a real
     cross-check and not an echo. Each base is folded once, as a ladder:
     1B is ``hfold_ints(b, 1)``, which refuses a bad base before any
-    interval fold runs, and each rung hB is (h-1)B + B by the same set
-    step ``hfold_ints`` takes, kept lazily one rung per base.
+    interval fold runs, and each rung hB is (h-1)B + B by
+    ``discrete._set_step``, the one set step ``hfold_ints`` climbs too,
+    kept lazily one rung per base.
     """
     goal = RankTable(targets).rows  # at least one row, so a report always has folds
     if len(goal[0]) != len(sets):
@@ -94,10 +95,7 @@ def verify_tau_race(
     horizon = len(goal)
     firsts = [hfold_ints(b, 1) for b in base_sets]
     fold_measures = [s.fold_measures(horizon) for s in sets]
-    ladders = [
-        accumulate(repeat(b, horizon - 1), lambda sums, b: {s + x for s in sums for x in b}, initial=b)
-        for b in firsts
-    ]
+    ladders = [accumulate(repeat(b, horizon - 1), _set_step, initial=b) for b in firsts]
     checks = []
     for h, (target, measures, rungs) in enumerate(zip(goal, zip(*fold_measures), zip(*ladders)), 1):
         cards = tuple(map(len, rungs))

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -225,7 +227,15 @@ def _raise_first_fault(obj: Any) -> NoReturn:
 
 
 def read_json(path: str | Path) -> Any:
+    """Parse the JSON file at ``path``, refusing anything that is not a regular file.
+
+    The path is stat'ed before it is opened, so a FIFO, which would block
+    the open, and a device such as /dev/zero, which never ends, are
+    refused with a ``SchemaError`` like a missing file.
+    """
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise SchemaError(f"cannot read {path}: not a regular file")
         data = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None

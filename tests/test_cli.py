@@ -524,7 +524,7 @@ UNUSED_STDLIB = (
 
 class TestEntryPoints:
     @staticmethod
-    def run_child(*args):
+    def run_child(*args, **kwargs):
         """Run a fresh interpreter that imports the package the suite imports, installed or not."""
         source = str(Path(cli.__file__).parents[1])
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
@@ -533,6 +533,7 @@ class TestEntryPoints:
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
+            **kwargs,
         )
 
     def test_module_invocation(self, tmp_path):
@@ -552,6 +553,40 @@ class TestEntryPoints:
         loaded = proc.stdout.split()
         assert "sumset_races.cli" in loaded
         assert [m for m in loaded for r in UNUSED_STDLIB if m == r or m.startswith(r + ".")] == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("kind", ["fifo", "dev-zero", "directory"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["build", "{}", "o.json"],
+            ["verify", "{}", "p.json"],
+            ["race", "{}", "o.json"],
+            ["plot", "{}", "x.svg"],
+            ["oracle", "{}"],
+        ],
+        ids=["build", "verify", "race", "plot", "oracle"],
+    )
+    def test_non_regular_input_exits_2(self, tmp_path, command, kind):
+        # opening a FIFO blocks and /dev/zero never ends, so the child runs under a
+        # timeout and an address-space cap: a regression fails the test, never stalls the suite
+        import resource
+
+        paths = {"fifo": tmp_path / "fifo", "dev-zero": "/dev/zero", "directory": tmp_path}
+        bad = str(paths[kind])
+        if kind == "fifo":
+            os.mkfifo(bad)
+        cap = 512 << 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        argv = [arg.format(bad) for arg in command]
+        proc = self.run_child(
+            "-m", "sumset_races", *argv, cwd=tmp_path, timeout=10, preexec_fn=limit_memory
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"schema error: cannot read {bad}: not a regular file" in proc.stderr
 
     def test_usage_error_shares_exit_2(self):
         with pytest.raises(SystemExit) as err:

@@ -51,11 +51,14 @@ class TestHfoldInts:
         with pytest.raises(ValueError):
             hfold_ints((0, 1), 0)
 
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(1, 5))
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(1, 8))
     @example([-3, 2, -3, 7, 2], 3)  # duplicates with negatives
     @example([5, -1, 0], 1)
+    @example([4, -6, 0, 4, -6, -1], 1)  # unsorted, repeated and negative: normalized, not folded
     @example([-7], 4)  # a singleton
+    @example([-7], 8)
     @example([0, 1, 10**6], 5)  # a spread base: all C(7, 5) = 21 sums distinct
+    @example([0, 1, 10**5], 8)  # all C(10, 8) = 45 sums distinct
     def test_prop_matches_multiset_reference(self, base, h):
         assert hfold_ints(base, h) == reference_hfold_ints(base, h)
 
