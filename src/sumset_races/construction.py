@@ -35,7 +35,6 @@ from .intervals import (
 
 __all__ = [
     "InternalCheckError",
-    "BuildBudgetError",
     "MAX_BUILD_GAPS",
     "DiffMatrix",
     "StepMatrix",
@@ -74,10 +73,6 @@ benchmark instance (340 gaps) and about 9 times the most that targets
 with n <= 4, H <= 10 and |m| <= 50 can need (10,800, for rows
 alternating +50 and -50).
 """
-
-
-class BuildBudgetError(SchemaError):
-    """The targets need more carved gaps than ``MAX_BUILD_GAPS``."""
 
 
 class DiffMatrix(IntTable):
@@ -153,6 +148,7 @@ def solve_steps(diffs: DiffMatrix) -> StepMatrix:
     solution is unique; it is re-checked by direct substitution before
     being returned.
     """
+    diffs = DiffMatrix(diffs)
     H = diffs.H
     rows = []
     for d in diffs.rows:
@@ -179,6 +175,7 @@ def lift_steps(steps: StepMatrix) -> CarveMatrix:
     difference, and it guarantees every carved block is a proper subset
     of its base block.
     """
+    steps = StepMatrix(steps)
     columns = []
     for column in zip(*steps.rows):
         sums = [0, *accumulate(column)]
@@ -310,9 +307,11 @@ def build_sets(diffs: DiffMatrix, scale: Rational) -> BuildResult:
 
     The assembled sets are dilated by scale/delta, which turns the raw
     per-gap differences of delta * d[i][h] into scale * d[i][h] exactly.
-    Targets needing more than ``MAX_BUILD_GAPS`` gaps in total raise
-    ``BuildBudgetError`` before anything is carved.
+    Targets go through ``DiffMatrix`` and raise as it does; a scale that is
+    not a positive rational raises ``TypeError`` or ``ValueError``; more than
+    ``MAX_BUILD_GAPS`` gaps in total raise ``SchemaError`` before any is carved.
     """
+    diffs = DiffMatrix(diffs)
     theta = as_fraction(scale)
     if theta <= 0:
         raise ValueError(f"scale must be positive, got {theta}")
@@ -320,7 +319,7 @@ def build_sets(diffs: DiffMatrix, scale: Rational) -> BuildResult:
     carves = lift_steps(steps)
     total = sum(carves.row_totals)
     if total > MAX_BUILD_GAPS:
-        raise BuildBudgetError(
+        raise SchemaError(
             f"the targets need {total} carved gaps, more than the limit of {MAX_BUILD_GAPS}"
         )
     params = choose_params(diffs.H, diffs.n, max(carves.row_totals))
@@ -381,6 +380,7 @@ def verify_differences(
     difference of prefix sums of theta * d. Fractions are made only for
     the ``DifferenceCheck`` records.
     """
+    diffs = DiffMatrix(diffs)
     theta = as_fraction(scale)
     if len(sets) != diffs.n:
         raise ValueError(f"expected {diffs.n} sets, got {len(sets)}")

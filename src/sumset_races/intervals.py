@@ -104,13 +104,13 @@ class IntTable(NamedTuple("IntTable", [("rows", tuple[tuple[int, ...], ...])])):
     It describes ``n`` >= 2 sets and ``H`` folds: here rows + 1 and the
     width; subclasses may read it the other way round or add rules. More
     than ``MAX_SETS`` sets or ``MAX_FOLDS`` folds raise ``SchemaError``,
-    checked before any entry is.
+    checked before any entry is. A table given as ``rows`` is read by its rows.
     """
 
     __slots__ = ()
 
     def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntTable":
-        rows = tuple(rows)
+        rows = tuple(rows.rows if isinstance(rows, IntTable) else rows)
         for row in rows:  # a dict or set row would otherwise be read as its keys
             if not isinstance(row, (list, tuple)):
                 raise TypeError(f"each table row must be a list or tuple, got {row!r}")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .intervals import IntervalUnion, Rational, SchemaError
 from .serialization import format_rational
 
-__all__ = ["PALETTE", "RenderRow", "UndrawableError", "layout", "render"]
+__all__ = ["PALETTE", "RenderRow", "layout", "render"]
 
 PALETTE = (
     "#1f77b4",
@@ -56,15 +56,12 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-class UndrawableError(SchemaError):
-    """The chart is wider than the float range, or narrower than floats resolve."""
-
-
 def layout(rows: list[RenderRow]) -> tuple[Rational, float]:
     """The map x -> 0.05 * WIDTH + x_scale * (x - xmin), as (xmin, x_scale).
 
-    It spans the widest row over 90% of the canvas; xmin is exact. Rows the
-    map cannot place at finite pixels raise ``UndrawableError``.
+    It spans the widest row over 90% of the canvas; xmin is exact. No rows
+    or repeated labels raise ``ValueError``, and rows the map cannot place
+    at finite pixels raise ``SchemaError`` naming the farthest row.
     """
     if not rows:
         raise ValueError("nothing to draw")
@@ -84,7 +81,7 @@ def layout(rows: list[RenderRow]) -> tuple[Rational, float]:
         drawable = False
     if not drawable:
         far = max(spans, key=lambda label: max(map(abs, spans[label])))
-        raise UndrawableError(f"row {far!r} lies beyond the range or resolution of float pixels")
+        raise SchemaError(f"row {far!r} lies beyond the range or resolution of float pixels")
     return xmin, x_scale
 
 

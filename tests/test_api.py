@@ -12,14 +12,18 @@ from sumset_races import (
     Interval,
     IntervalUnion,
     StepMatrix,
+    build_sets,
     grid_measure_oracle,
+    lift_steps,
+    realize,
     search_race_sets,
     serialization,
+    solve_steps,
+    verify_differences,
+    verify_tau_race,
 )
-from sumset_races.construction import BuildBudgetError
 from sumset_races.discrete import RankTable
 from sumset_races.intervals import MAX_FOLDS, MAX_SETS, SchemaError
-from sumset_races.svg import UndrawableError
 
 
 def test_public_names_are_pinned():
@@ -147,8 +151,6 @@ def test_tables_at_the_caps_construct():
 def test_every_refusal_is_one_schema_error():
     assert serialization.SchemaError is SchemaError
     assert issubclass(SchemaError, ValueError)
-    assert issubclass(BuildBudgetError, SchemaError)
-    assert issubclass(UndrawableError, SchemaError)
     for ground, maxsize, message in [
         (-1, 2, "ground must be an integer >= 0, got -1"),
         (4, 0, "maxsize must be an integer >= 1, got 0"),
@@ -156,6 +158,40 @@ def test_every_refusal_is_one_schema_error():
     ]:
         with pytest.raises(SchemaError, match=message):
             search_race_sets([(1, 2)], ground, maxsize)
+
+
+# Every function that takes a table calls its table type on it once, and a
+# table type reads a table it is given by its rows, so plain rows and a
+# table give the same result.
+
+
+def test_construction_takes_plain_rows_as_its_tables():
+    rows = [[1, -2, 0], [0, 3, 1]]
+    diffs = DiffMatrix(rows)
+    built = build_sets(rows, F(1, 2))
+    assert built == build_sets(diffs, F(1, 2))
+    report = verify_differences(built.sets, rows, F(1, 2))
+    assert report.all_ok and report == verify_differences(built.sets, diffs, F(1, 2))
+    steps = solve_steps(rows)
+    assert type(steps) is StepMatrix and steps == solve_steps(diffs)
+    assert lift_steps([list(r) for r in steps.rows]) == lift_steps(steps)
+
+
+def test_race_takes_a_rank_table_as_its_targets():
+    targets = [[1, 2], [2, 1]]
+    found = search_race_sets(targets, 6, 5)
+    assert found is not None and search_race_sets(RankTable(targets), 6, 5) == found
+    sets, _ = realize(found, len(targets))
+    report = verify_tau_race(sets, found, targets)
+    assert report.all_ok and verify_tau_race(sets, found, RankTable(targets)) == report
+
+
+def test_a_table_is_checked_by_the_type_it_is_given_to():
+    assert DiffMatrix(DiffMatrix([[1, 0]])) == DiffMatrix([[1, 0]])
+    with pytest.raises(ValueError, match="gap multiplicities must be nonnegative"):
+        CarveMatrix(StepMatrix(((1, 0), (-1, 2))))
+    with pytest.raises(ValueError, match=r"not a valid rank tuple \(dense ranks from 1\): \[1, 3\]"):
+        search_race_sets(DiffMatrix([[1, 3]]), 4, 2)
 
 
 VALUES = [

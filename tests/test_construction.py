@@ -27,7 +27,8 @@ from sumset_races import (
     verify_differences,
 )
 from sumset_races import construction
-from sumset_races.construction import MAX_BUILD_GAPS, BuildBudgetError
+from sumset_races.construction import MAX_BUILD_GAPS
+from sumset_races.intervals import SchemaError
 
 
 def exact_params(H=2, max_gaps=1):
@@ -377,14 +378,14 @@ class TestBuildSets:
             raise AssertionError("carve ran before the gap budget was checked")
 
         monkeypatch.setattr(construction, "carve", unreachable)
-        with pytest.raises(BuildBudgetError, match="1000000002 carved gaps"):
+        with pytest.raises(SchemaError, match="1000000002 carved gaps"):
             build_sets(DiffMatrix(((10**9, 0),)), 1)
 
     def test_budget_is_on_the_total_over_all_sets(self):
         # two sets carving 1 and 1 + k gaps: the total is k + 2
         k = MAX_BUILD_GAPS - 2
         assert sum(lift_steps(solve_steps(DiffMatrix(((k, 0),)))).row_totals) == MAX_BUILD_GAPS
-        with pytest.raises(BuildBudgetError):
+        with pytest.raises(SchemaError):
             build_sets(DiffMatrix(((k + 1, 0),)), 1)
 
     @settings(max_examples=100, deadline=None)

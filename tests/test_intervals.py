@@ -27,7 +27,7 @@ from conftest import (
     reference_translate,
     tied_unions,
 )
-from sumset_races import Interval, IntervalUnion, grid_measure_oracle, intervals
+from sumset_races import Interval, IntervalUnion, grid_measure_oracle, intervals, realize
 from sumset_races.intervals import _int_sum, _merged, _Thickenings
 
 
@@ -537,6 +537,13 @@ TWO_BRACKETS = (
     IntervalUnion([*((5 * k, 5 * k + 3) for k in range(6)), (40, 40)]),
     U((0, 1), (3, 4), (10, 11)),
 )
+# sumsets summed with their base, the shape of every rung of a fold ladder:
+# B + B for B the Sidon points {0, 1, 9, 81, 729} is one group of 15 points
+# (k = 5), and for B the realized race set of {0, 1, 3, 7} at horizon 8 one
+# group of 10 parts (k = 4); every coarse part of B is narrower than every
+# gap of the group, so each of its shifts keeps all the gaps open (j = |G|)
+SIDON = IntervalUnion((x, x) for x in (0, 1, 9, 81, 729))
+REALIZED = realize([(0, 1, 3, 7)], 8)[0][0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,6 +578,8 @@ TWO_BRACKETS = (
 # b a single point, the shape a shift takes: every part of a forms one group
 # (k = 1), whose one coarse part has width 0 and keeps all its gaps open
 @example(U((0, 1), (3, 3), (5, F(13, 2))), U((F(5, 2), F(5, 2))))
+@example(SIDON + SIDON, SIDON)
+@example(REALIZED + REALIZED, REALIZED)
 def test_prop_grouped_sum_matches_pairwise_reference(a, b):
     reference = pairwise_sum(a, b)
     assert a + b == reference

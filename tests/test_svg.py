@@ -8,13 +8,13 @@ from xml.sax import saxutils
 import pytest
 
 from sumset_races import IntervalUnion
+from sumset_races.intervals import SchemaError
 from sumset_races.svg import (
     BOTTOM_PAD,
     ROW_HEIGHT,
     TOP_PAD,
     WIDTH,
     RenderRow,
-    UndrawableError,
     escape,
     layout,
     quoteattr,
@@ -41,7 +41,7 @@ class TestLayout:
             layout([row("A", (0, 1)), row("A", (2, 3))])
 
     def test_endpoint_beyond_float_range(self):
-        with pytest.raises(UndrawableError, match="row 'far'"):
+        with pytest.raises(SchemaError, match="row 'far'"):
             layout([row("near", (0, 1)), row("far", (0, 10**400))])
 
     def test_large_close_endpoints_do_not_cancel(self):
@@ -54,7 +54,7 @@ class TestLayout:
         assert layout([row("far", (10**400, 10**400 + 1))]) == (10**400, 0.90 * WIDTH)
 
     def test_span_below_float_resolution(self):
-        with pytest.raises(UndrawableError, match="row 'thin'"):
+        with pytest.raises(SchemaError, match="row 'thin'"):
             layout([row("empty"), row("thin", (0, F(1, 10**400)))])
 
     def test_empty_rows_span_zero_to_one(self):
